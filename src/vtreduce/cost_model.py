@@ -83,6 +83,13 @@ def flops_total(tokens_per_layer, dims: ModelDims) -> float:
     return total
 
 
+def _check_prune_layer(prune_layer: int, n_layers: int) -> None:
+    if not 1 <= prune_layer <= n_layers:
+        raise ConfigError(
+            "prune_layer", f"must be in [1, {n_layers}], got {prune_layer}"
+        )
+
+
 def average_retention(
     encoder_retention: float,
     decoder_retention: float,
@@ -94,10 +101,7 @@ def average_retention(
     The first ``prune_layer`` layers run at the encoder-stage retention,
     the remaining layers at its product with the decoder-stage retention.
     """
-    if not 1 <= prune_layer <= n_layers:
-        raise ConfigError(
-            "prune_layer", f"must be in [1, {n_layers}], got {prune_layer}"
-        )
+    _check_prune_layer(prune_layer, n_layers)
     full = prune_layer
     pruned = n_layers - prune_layer
     return encoder_retention * (full + pruned * decoder_retention) / n_layers
@@ -114,6 +118,7 @@ def solve_encoder_retention(
         raise ConfigError(
             "target_average", f"must be in (0, 1], got {target_average}"
         )
+    _check_prune_layer(prune_layer, n_layers)
     full = prune_layer
     pruned = n_layers - prune_layer
     weight = (full + pruned * decoder_retention) / n_layers

@@ -280,9 +280,12 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
 
     Each unselected token is assigned to the selected token with the
     highest cosine similarity (ties go to the lower selected index); each
-    group is then averaged, unweighted, anchor included. Returns a new
-    selection with ``merge_assignment`` and ``merged_embeddings`` filled;
-    output rows follow ascending selected index.
+    group is then averaged, unweighted, anchor included. The mean is
+    bit-exact: the anchor first, then its unselected tokens in ascending
+    order, summed from +0.0, then divided by the group size; a group of
+    one is a copy of the anchor's row. Returns a new selection with
+    ``merge_assignment`` and ``merged_embeddings`` filled; output rows
+    follow ascending selected index.
     """
     emb = as_tensor(embeddings, ndim=2)
     if emb.shape[0] != selection.n_tokens:
@@ -303,18 +306,47 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateInputError(f"zero-norm embedding at token {int(zero[0])}")
-    unit = emb / norms[:, None]
-    sims = unit[unsel] @ unit[sel].T  # (|unsel|, |sel|)
+    sims = _unit_rows(emb, norms, unsel) @ _unit_rows(emb, norms, sel).T
     nearest = sims.argmax(axis=1)  # first max = lowest selected index
-    assignment = {int(u): int(sel[j]) for u, j in zip(unsel, nearest)}
-
-    merged = np.empty((sel.size, emb.shape[1]))
-    for row, s in enumerate(sel):
-        group = [int(s)] + [u for u, tgt in assignment.items() if tgt == s]
-        merged[row] = emb[group].mean(axis=0) if len(group) > 1 else emb[s]
+    del sims  # so the grouping's buffers do not raise the peak
+    assignment = dict(zip(unsel.tolist(), sel[nearest].tolist()))
     return dataclasses.replace(
-        selection, merge_assignment=assignment, merged_embeddings=merged
+        selection,
+        merge_assignment=assignment,
+        merged_embeddings=_group_means(emb, sel, unsel, nearest),
     )
+
+
+def _unit_rows(emb, norms, rows) -> np.ndarray:
+    # divides in place: the same values as (emb / norms[:, None])[rows]
+    # without a full-size temporary
+    unit = emb[rows]
+    unit /= norms[rows, None]
+    return unit
+
+
+def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
+    """Row r: mean of ``emb[sel[r]]`` and every ``emb[unsel[i]]`` with
+    ``nearest[i] == r``, in the order ``merge_tokens`` documents.
+
+    Members are added one level at a time (level j holds the j-th member of
+    every group), so each group is summed in member order from +0.0 while
+    the Python loop runs once per level, not per token or group.
+    """
+    rows = np.concatenate([np.arange(sel.size), nearest])
+    members = np.concatenate([sel, unsel])
+    order = np.argsort(rows, kind="stable")  # anchor first, then ascending
+    rows, members = rows[order], members[order]
+    counts = np.bincount(rows)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = np.zeros((sel.size, emb.shape[1]))
+    for j in range(counts.max()):
+        level = rank == j
+        sums[rows[level]] += emb[members[level]]
+    sums /= counts[:, None]
+    single = counts == 1
+    sums[single] = emb[sel[single]]  # a copy keeps -0.0, which 0.0 + x loses
+    return sums
 
 
 def selection_report(selection: TokenSelection) -> dict:

@@ -54,13 +54,6 @@ class Xoshiro256:
         self._s = [s0, s1, s2, s3]
         return result
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
-
     def normals(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller, consuming 2*ceil(n/2) u64s."""
         pairs = (n + 1) // 2

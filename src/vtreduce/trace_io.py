@@ -268,6 +268,8 @@ def _load_manifest(path) -> tuple[dict, Path]:
             raise FormatError(f"manifest missing key {key!r}")
     if manifest["version"] != FORMAT_VERSION:
         raise FormatError(f"unsupported manifest version {manifest['version']}")
+    if not isinstance(manifest["files"], dict):
+        raise FormatError("manifest 'files' must be a JSON object")
     return manifest, p.parent
 
 

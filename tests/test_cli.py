@@ -221,6 +221,14 @@ class TestFlopsAndBudget:
         assert code == 1
         assert err
 
+    def test_budget_prune_layer_out_of_range_named(self, capsys):
+        code, out, err = run(capsys, "budget", "--target", "0.5",
+                             "--decoder-retention", "0.3",
+                             "--prune-layer", "40", "--n-layers", "32")
+        assert code == 1
+        assert out == ""
+        assert "prune_layer" in err
+
 
 class TestAnalyze:
     def test_attention_sum_uniform_constant_column(self, capsys, tmp_path):
@@ -260,6 +268,18 @@ class TestAnalyze:
                            "--trace", tmp_path / "dec")
         assert code == 1
         assert "magic" in err
+
+    def test_manifest_files_not_an_object(self, capsys, tmp_path):
+        trace = uniform_decoder_trace(2, 1, 1, 4, 1)
+        manifest_path = write_decoder_bundle(trace, tmp_path / "dec")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"] = []
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "analyze", "attention-sum",
+                           "--trace", tmp_path / "dec")
+        assert code == 1
+        assert "files" in err
+        assert "Traceback" not in err
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_encoder_trace
 from vtreduce import (
@@ -307,6 +310,92 @@ class TestMergeTokens:
         assert len(report["merge_assignment"]) == len(sel.merge_assignment)
         assert (tmp_path / "merged_embeddings.vscn").exists()
         assert selection_report(sel)["n_tokens"] == 9
+
+
+def seed_merge(emb, selected):
+    """Reference: the original merge, one emb[group].mean(axis=0) per group."""
+    sel = np.asarray(selected)
+    unsel = np.asarray(sorted(set(range(emb.shape[0])) - set(selected)), dtype=int)
+    if unsel.size == 0:
+        return {}, emb[sel].copy()
+    norms = np.linalg.norm(emb, axis=1)
+    unit = emb / norms[:, None]
+    nearest = (unit[unsel] @ unit[sel].T).argmax(axis=1)
+    assignment = {int(u): int(sel[j]) for u, j in zip(unsel, nearest)}
+    merged = np.empty((sel.size, emb.shape[1]))
+    for row, s in enumerate(sel):
+        group = [int(s)] + [u for u, tgt in assignment.items() if tgt == s]
+        merged[row] = emb[group].mean(axis=0) if len(group) > 1 else emb[s]
+    return assignment, merged
+
+
+# few distinct values, -0.0 among them, so rows repeat (exact cosine ties)
+# and groups of one keep -0.0 entries
+_MERGE_VALUES = (-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-3, 7.0)
+
+
+@st.composite
+def merge_cases(draw, dims=st.integers(2, 12)):
+    n = draw(st.integers(1, 40))
+    d = draw(dims)
+    emb = draw(hnp.arrays(np.float64, (n, d), elements=st.one_of(
+        st.sampled_from(_MERGE_VALUES), st.floats(-100, 100))))
+    emb[np.linalg.norm(emb, axis=1) == 0.0, 0] = 1.0
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    selected = [i for i in range(n) if keep[i]] or [draw(st.integers(0, n - 1))]
+    return emb, selected
+
+
+def _one_anchor_case(n, d, anchor):
+    """Every other token lies nearest to ``anchor`` (the deepest grouping)."""
+    rng = np.random.default_rng(n * d)
+    emb = np.zeros((n, d))
+    emb[:, 0] = rng.uniform(1.0, 2.0, n)
+    emb[:, 1:] = rng.uniform(-1e-3, 1e-3, (n, d - 1))
+    emb[anchor, 1:] = 0.0
+    other = (anchor + 1) % n
+    emb[other] = 0.0
+    emb[other, 1] = -1.0
+    return emb, sorted({anchor, other})
+
+
+class TestMergeMatchesSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    @example((np.array([[-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]]), [0, 1]))
+    @example((np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), [0, 1]))
+    @example((np.array([[2.0, -0.0], [-0.0, 3.0]]), [0, 1]))
+    @example(_one_anchor_case(300, 3, 7))
+    @example(_one_anchor_case(60, 1024, 0))
+    def test_byte_identical(self, case):
+        emb, selected = case
+        want_assignment, want = seed_merge(emb, selected)
+        got = merge_tokens(emb, select_stub(emb.shape[0], selected))
+        assert list(got.merge_assignment.items()) == list(want_assignment.items())
+        assert got.merged_embeddings.tobytes() == want.tobytes()
+
+    def test_single_anchor_takes_every_token(self):
+        emb, selected = _one_anchor_case(300, 3, 7)
+        got = merge_tokens(emb, select_stub(300, selected))
+        assert set(got.merge_assignment.values()) == {7}
+
+    def test_singleton_keeps_negative_zero(self):
+        emb = np.array([[-0.0, 1.0], [1.0, -0.0], [1.0, 0.5]])
+        got = merge_tokens(emb, select_stub(3, [0, 1])).merged_embeddings
+        assert got[0].tobytes() == emb[0].tobytes()
+        assert np.signbit(got[0, 0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(dims=st.just(1)))
+    def test_one_column_within_summation_error(self, case):
+        # with one column, numpy's mean sums each group pairwise, not in
+        # order, so the seed differs in the last bits for groups of 8 or more
+        emb, selected = case
+        want_assignment, want = seed_merge(emb, selected)
+        got = merge_tokens(emb, select_stub(emb.shape[0], selected))
+        assert got.merge_assignment == want_assignment
+        tol = emb.shape[0] * np.finfo(np.float64).eps * np.abs(emb).max()
+        assert np.allclose(got.merged_embeddings, want, rtol=0.0, atol=tol)
 
 
 def select_stub(n, selected):
