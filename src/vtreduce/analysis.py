@@ -1,5 +1,6 @@
 """Measurements over decoder traces: position-bias histograms and per-layer
-visual attention sums, with fixed-schema CSV output.
+visual attention sums, with fixed-schema CSV output to a path or an open
+text stream.
 
 CSV schemas (column order is part of the interface):
     bias_histogram.csv   layer,row,col,count
@@ -80,21 +81,22 @@ def attention_sum_per_layer(trace: DecoderTrace) -> AttentionSumCurve:
     return AttentionSumCurve(per_head=per_head, head_mean=per_head.mean(axis=1))
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows to ``path``: a file path or an open text stream."""
+    if not hasattr(path, "write"):
+        with open(path, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_bias_histogram_csv(hist: BiasHistogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "row", "col", "count"])
-        grid_h, grid_w = hist.counts.shape
-        for r in range(grid_h):
-            for c in range(grid_w):
-                writer.writerow([hist.layer, r, c, int(hist.counts[r, c])])
+    rows = [[hist.layer, r, c, int(n)] for (r, c), n in np.ndenumerate(hist.counts)]
+    _write_csv(path, ["layer", "row", "col", "count"], rows)
 
 
 def write_attention_sums_csv(curve: AttentionSumCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "head", "sum"])
-        n_layers, n_heads = curve.per_head.shape
-        for i in range(n_layers):
-            for h in range(n_heads):
-                writer.writerow([i + 1, h, f"{curve.per_head[i, h]:.12g}"])
+    rows = [[i + 1, h, f"{v:.12g}"] for (i, h), v in np.ndenumerate(curve.per_head)]
+    _write_csv(path, ["layer", "head", "sum"], rows)

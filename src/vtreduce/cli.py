@@ -14,10 +14,11 @@ line.
 """
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import analysis, cost_model, decoder_prune, encoder_scan, trace_io
@@ -25,26 +26,54 @@ from .errors import ConfigError, VtReduceError
 
 OUT_DIR_ENV = "VTREDUCE_OUT_DIR"
 
-_PIPELINE_KEYS = {
-    "preset",
-    "encoder_trace",
-    "decoder_trace",
-    "retention",
-    "target_average",
-    "global_fraction",
-    "local_layer",
-    "output_layer",
-    "window_rows",
-    "window_cols",
-    "score_source",
-    "decoder_retention",
-    "prune_layer",
-    "n_layers",
-    "hidden_size",
-    "ffn_size",
-    "n_text_total",
-    "out_dir",
+# The pipeline fields, in flag order: config key -> (type, flag help). Each
+# row gives the flag --key-with-dashes (out_dir is --out) and the type a
+# config-file value must have. ``T | None`` fields also take JSON null,
+# read as unset. Defaults live in ScanConfig, the preset and
+# _load_pipeline_config, not here.
+_PIPELINE_FIELDS = {
+    "preset": (str | None, "model preset name"),
+    "encoder_trace": (str, None),
+    "decoder_trace": (str, None),
+    "retention": (float, "encoder-stage retention"),
+    "target_average": (float, "solve the encoder retention for this average"),
+    "global_fraction": (float, None),
+    "local_layer": (int, None),
+    "output_layer": (int | None, None),
+    "window_rows": (int, None),
+    "window_cols": (int, None),
+    "score_source": (str, None),
+    "decoder_retention": (float, None),
+    "prune_layer": (int, None),
+    "n_layers": (int, None),
+    "hidden_size": (int, None),
+    "ffn_size": (int, None),
+    "n_text_total": (int, None),
+    "out_dir": (str, "artifact directory"),
 }
+
+
+def _add_fields(parser, keys, **kwargs) -> None:
+    """Add the flags of the table rows ``keys`` to ``parser``."""
+    for key in keys:
+        kind, help_text = _PIPELINE_FIELDS[key]
+        parser.add_argument(
+            "--out" if key == "out_dir" else "--" + key.replace("_", "-"),
+            dest=key,
+            type=(typing.get_args(kind) or (kind,))[0],
+            choices=encoder_scan.SCORE_SOURCES if key == "score_source" else None,
+            help=help_text,
+            **kwargs,
+        )
+
+
+def _check_type(key: str, value) -> None:
+    """A config value must have its row's type; a bool is never a number."""
+    kind = _PIPELINE_FIELDS[key][0]
+    accepted = int | float if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        name = getattr(kind, "__name__", kind)  # "int", or "int | None"
+        raise ConfigError(key, f"expected {name}, got {json.dumps(value)}")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -71,30 +100,27 @@ def _cmd_gen(args) -> int:
     if args.kind == "encoder":
         grid_h, grid_w = _parse_grid(args.grid)
         trace = trace_io.generate_synthetic_encoder(
-            seed=args.seed,
-            grid_h=grid_h,
-            grid_w=grid_w,
-            n_layers=args.layers,
-            n_heads=args.heads,
-            embed_dim=args.embed_dim,
-            locality_strength=args.locality,
-            include_self_attention=not args.cls_only,
+            seed=args.seed, grid_h=grid_h, grid_w=grid_w, n_layers=args.layers,
+            n_heads=args.heads, embed_dim=args.embed_dim,
+            locality_strength=args.locality, include_self_attention=not args.cls_only,
         )
         manifest = trace_io.write_encoder_bundle(trace, out)
     else:
         trace = trace_io.generate_synthetic_decoder(
-            seed=args.seed,
-            n_layers=args.layers,
-            n_heads=args.heads,
-            n_pre_text=args.pre_text,
-            n_visual=args.visual,
-            n_post_text=args.post_text,
-            position_bias_strength=args.bias,
-            visual_boost_strength=args.visual_boost,
+            seed=args.seed, n_layers=args.layers, n_heads=args.heads,
+            n_pre_text=args.pre_text, n_visual=args.visual, n_post_text=args.post_text,
+            position_bias_strength=args.bias, visual_boost_strength=args.visual_boost,
         )
         manifest = trace_io.write_decoder_bundle(trace, out)
     print(manifest)
     return 0
+
+
+def _preset(name: str) -> cost_model.ModelPreset:
+    if name not in cost_model.MODEL_PRESETS:
+        have = sorted(cost_model.MODEL_PRESETS)
+        raise ConfigError("preset", f"unknown preset {name!r}, have {have}")
+    return cost_model.MODEL_PRESETS[name]
 
 
 def _load_pipeline_config(args) -> dict:
@@ -106,46 +132,18 @@ def _load_pipeline_config(args) -> dict:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        for key in loaded:
-            if key not in _PIPELINE_KEYS:
+        for key, value in loaded.items():
+            if key not in _PIPELINE_FIELDS:
                 raise ConfigError(key, "unknown config field")
+            _check_type(key, value)
         cfg.update(loaded)
-
-    overrides = {
-        "preset": args.preset,
-        "encoder_trace": args.encoder_trace,
-        "decoder_trace": args.decoder_trace,
-        "retention": args.retention,
-        "target_average": args.target_average,
-        "global_fraction": args.global_fraction,
-        "local_layer": args.local_layer,
-        "output_layer": args.output_layer,
-        "window_rows": args.window_rows,
-        "window_cols": args.window_cols,
-        "score_source": args.score_source,
-        "decoder_retention": args.decoder_retention,
-        "prune_layer": args.prune_layer,
-        "n_layers": args.n_layers,
-        "hidden_size": args.hidden_size,
-        "ffn_size": args.ffn_size,
-        "n_text_total": args.n_text_total,
-        "out_dir": args.out,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    flags = {key: getattr(args, key) for key in _PIPELINE_FIELDS}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
 
     if cfg.get("preset"):
-        name = cfg["preset"]
-        if name not in cost_model.MODEL_PRESETS:
-            raise ConfigError(
-                "preset",
-                f"unknown preset {name!r}, have {sorted(cost_model.MODEL_PRESETS)}",
-            )
-        preset = cost_model.MODEL_PRESETS[name]
-        cfg.setdefault("n_layers", preset.dims.n_layers)
-        cfg.setdefault("hidden_size", preset.dims.hidden_size)
-        cfg.setdefault("ffn_size", preset.dims.ffn_size)
-        cfg.setdefault("local_layer", preset.local_layer)
-        cfg.setdefault("prune_layer", preset.prune_layer)
+        # the preset's dims, local_layer and prune_layer fill what cfg leaves unset
+        preset = dataclasses.asdict(_preset(cfg["preset"]))
+        cfg = {**preset.pop("dims"), **preset, **cfg}
 
     for key in ("encoder_trace", "decoder_trace"):
         if key not in cfg:
@@ -158,7 +156,6 @@ def _load_pipeline_config(args) -> dict:
             "target_average", "give either retention or target_average, not both"
         )
     cfg.setdefault("decoder_retention", 0.333)
-    cfg.setdefault("local_layer", 6)
     cfg.setdefault("prune_layer", max(1, cfg["n_layers"] // 2))
     return cfg
 
@@ -168,34 +165,24 @@ def _cmd_pipeline(args) -> int:
     try:
         cfg = _load_pipeline_config(args)
         dims = cost_model.ModelDims(
-            n_layers=cfg["n_layers"],
-            hidden_size=cfg["hidden_size"],
-            ffn_size=cfg["ffn_size"],
+            cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"]
         )
         prune_cfg = decoder_prune.PruneConfig(
-            prune_layer=cfg["prune_layer"],
-            retention=cfg["decoder_retention"],
-            n_layers=cfg["n_layers"],
+            cfg["prune_layer"], cfg["decoder_retention"], cfg["n_layers"]
         )
+        retention = cfg.get("retention", 1.0)
         if "target_average" in cfg:
             retention = cost_model.solve_encoder_retention(
-                cfg["target_average"],
-                cfg["decoder_retention"],
-                cfg["prune_layer"],
-                cfg["n_layers"],
+                cfg["target_average"], cfg["decoder_retention"],
+                cfg["prune_layer"], cfg["n_layers"],
             )
-        else:
-            retention = cfg.get("retention", 1.0)
+        # every other ScanConfig field takes its default unless cfg sets it
+        scan_keys = {f.name for f in dataclasses.fields(encoder_scan.ScanConfig)}
         scan_cfg = encoder_scan.ScanConfig(
             retention=retention,
-            global_fraction=cfg.get("global_fraction", 0.5),
-            local_layer=cfg["local_layer"],
-            output_layer=cfg.get("output_layer"),
-            window_rows=cfg.get("window_rows", 4),
-            window_cols=cfg.get("window_cols", 4),
-            score_source=cfg.get("score_source", "cls"),
+            **{k: cfg[k] for k in scan_keys - {"retention"} if k in cfg},
         )
-        out_dir = _resolve_out(args.out, fallback=cfg.get("out_dir", "."))
+        out_dir = _resolve_out(args.out_dir, fallback=cfg.get("out_dir", "."))
 
         stage = "load-traces"
         encoder = trace_io.read_encoder_bundle(cfg["encoder_trace"])
@@ -226,26 +213,14 @@ def _cmd_pipeline(args) -> int:
         profile = decoder_prune.prune_at_layer(scores, prune_cfg, n_merged)
 
         stage = "report"
-        n_text = cfg.get(
-            "n_text_total", decoder.n_pre_text + decoder.n_post_text
-        )
+        n_text = cfg.get("n_text_total", decoder.n_pre_text + decoder.n_post_text)
         report = cost_model.build_report(selection, profile, dims, n_text)
 
         stage = "write"
         out_dir.mkdir(parents=True, exist_ok=True)
         encoder_scan.write_selection(selection, out_dir)
         (out_dir / "profile.json").write_text(
-            json.dumps(
-                {
-                    "counts": profile.counts,
-                    "retained": profile.retained,
-                    "n_merged": profile.n_merged,
-                    "prune_layer": profile.prune_layer,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+            json.dumps(dataclasses.asdict(profile), sort_keys=True, indent=2) + "\n"
         )
         cost_model.write_report_csv(report, out_dir / "cost_report.csv")
         cost_model.write_report_summary(report, out_dir / "cost_summary.json")
@@ -267,13 +242,7 @@ def _cmd_pipeline(args) -> int:
 
 def _dims_from_args(args) -> cost_model.ModelDims:
     if args.preset:
-        if args.preset not in cost_model.MODEL_PRESETS:
-            raise ConfigError(
-                "preset",
-                f"unknown preset {args.preset!r}, "
-                f"have {sorted(cost_model.MODEL_PRESETS)}",
-            )
-        return cost_model.MODEL_PRESETS[args.preset].dims
+        return _preset(args.preset).dims
     if None in (args.n_layers, args.hidden_size, args.ffn_size):
         raise ConfigError(
             "preset", "need --preset or all of --n-layers/--hidden-size/--ffn-size"
@@ -299,32 +268,17 @@ def _cmd_budget(args) -> int:
 def _cmd_analyze(args) -> int:
     trace = trace_io.read_decoder_bundle(args.trace)
     if args.what == "attention-sum":
-        curve = analysis.attention_sum_per_layer(trace)
-        out = args.out
-        if out is None:
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["layer", "head", "sum"])
-            for i in range(curve.per_head.shape[0]):
-                for h in range(curve.per_head.shape[1]):
-                    writer.writerow([i + 1, h, f"{curve.per_head[i, h]:.12g}"])
-        else:
-            analysis.write_attention_sums_csv(curve, out)
-            print(out)
+        result = analysis.attention_sum_per_layer(trace)
+        write = analysis.write_attention_sums_csv
     else:
         grid_h, grid_w = _parse_grid(args.grid)
-        hist = analysis.position_bias_histogram(
+        result = analysis.position_bias_histogram(
             trace, args.layer, args.retention, grid_h, grid_w
         )
-        out = args.out
-        if out is None:
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["layer", "row", "col", "count"])
-            for r in range(grid_h):
-                for c in range(grid_w):
-                    writer.writerow([hist.layer, r, c, int(hist.counts[r, c])])
-        else:
-            analysis.write_bias_histogram_csv(hist, out)
-            print(out)
+        write = analysis.write_bias_histogram_csv
+    write(result, sys.stdout if args.out is None else args.out)
+    if args.out is not None:
+        print(args.out)
     return 0
 
 
@@ -358,42 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     pipe.add_argument("--config", help="JSON config file")
-    pipe.add_argument("--preset", help="model preset name")
-    pipe.add_argument("--encoder-trace", dest="encoder_trace")
-    pipe.add_argument("--decoder-trace", dest="decoder_trace")
-    pipe.add_argument("--retention", type=float, help="encoder-stage retention")
-    pipe.add_argument("--target-average", dest="target_average", type=float,
-                      help="solve the encoder retention for this average")
-    pipe.add_argument("--global-fraction", dest="global_fraction", type=float)
-    pipe.add_argument("--local-layer", dest="local_layer", type=int)
-    pipe.add_argument("--output-layer", dest="output_layer", type=int)
-    pipe.add_argument("--window-rows", dest="window_rows", type=int)
-    pipe.add_argument("--window-cols", dest="window_cols", type=int)
-    pipe.add_argument("--score-source", dest="score_source",
-                      choices=["cls", "self_avg"])
-    pipe.add_argument("--decoder-retention", dest="decoder_retention", type=float)
-    pipe.add_argument("--prune-layer", dest="prune_layer", type=int)
-    pipe.add_argument("--n-layers", dest="n_layers", type=int)
-    pipe.add_argument("--hidden-size", dest="hidden_size", type=int)
-    pipe.add_argument("--ffn-size", dest="ffn_size", type=int)
-    pipe.add_argument("--n-text-total", dest="n_text_total", type=int)
-    pipe.add_argument("--out", help="artifact directory")
+    _add_fields(pipe, _PIPELINE_FIELDS)
     pipe.set_defaults(func=_cmd_pipeline)
 
     flops = sub.add_parser("flops", help="prefill FLOPs at a uniform token count")
-    flops.add_argument("--preset")
-    flops.add_argument("--n-layers", dest="n_layers", type=int)
-    flops.add_argument("--hidden-size", dest="hidden_size", type=int)
-    flops.add_argument("--ffn-size", dest="ffn_size", type=int)
+    _add_fields(flops, ("preset", "n_layers", "hidden_size", "ffn_size"))
     flops.add_argument("--tokens", type=float, required=True)
     flops.set_defaults(func=_cmd_flops)
 
     budget = sub.add_parser("budget", help="solve the encoder retention")
     budget.add_argument("--target", type=float, required=True)
-    budget.add_argument("--decoder-retention", dest="decoder_retention",
-                        type=float, required=True)
-    budget.add_argument("--prune-layer", dest="prune_layer", type=int, required=True)
-    budget.add_argument("--n-layers", dest="n_layers", type=int, required=True)
+    _add_fields(budget, ("decoder_retention", "prune_layer", "n_layers"), required=True)
     budget.set_defaults(func=_cmd_budget)
 
     analyze = sub.add_parser("analyze", help="decoder-trace measurements")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, TraceError
+from .errors import DegenerateInputError, FormatError, ShapeError, TraceError
 from .numerics import as_tensor, softmax_rows
 from .rng import Xoshiro256
 
@@ -50,8 +50,6 @@ __all__ = [
     "write_decoder_bundle",
     "read_encoder_bundle",
     "read_decoder_bundle",
-    "read_bundle",
-    "bundle_kind",
     "generate_synthetic_encoder",
     "generate_synthetic_decoder",
 ]
@@ -70,14 +68,23 @@ def write_tensor(path, values, dtype: str = "f64") -> None:
         code, np_dtype = _DTYPE_F32, "<f4"
     else:
         raise ShapeError(f"unsupported dtype {dtype!r}, expected 'f32' or 'f64'")
+    with np.errstate(over="ignore"):  # an f32 overflow is raised just below
+        payload = arr.astype(np_dtype, copy=False)  # no copy for f64
+    if code == _DTYPE_F32 and not np.isfinite(payload).all():
+        raise DegenerateInputError("values overflow f32")
     header = struct.pack("<4sHBB", MAGIC, FORMAT_VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    Path(path).write_bytes(header + arr.astype(np_dtype).tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
 
 
 def read_tensor(path) -> np.ndarray:
     """Read a tensor file back as a float64 array (f32 payloads upconvert)."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read tensor file: {exc}") from exc
     if len(data) < 8:
         raise FormatError("truncated header", offset=len(data))
     if data[:4] != MAGIC:
@@ -255,6 +262,17 @@ def _manifest_path(path) -> Path:
     return p if p.is_file() else p / "manifest.json"
 
 
+_MANIFEST_INTS = (
+    "grid_h", "grid_w", "n_layers", "n_heads", "embed_dim",
+    "n_pre_text", "n_visual", "n_post_text",
+)
+
+
+def _is_bare_name(name) -> bool:
+    """A file name with no directory part, so it resolves inside the bundle."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 def _load_manifest(path) -> tuple[dict, Path]:
     p = _manifest_path(path)
     if not p.exists():
@@ -263,6 +281,8 @@ def _load_manifest(path) -> tuple[dict, Path]:
         manifest = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest must be a JSON object")
     for key in ("version", "kind", "files"):
         if key not in manifest:
             raise FormatError(f"manifest missing key {key!r}")
@@ -270,11 +290,19 @@ def _load_manifest(path) -> tuple[dict, Path]:
         raise FormatError(f"unsupported manifest version {manifest['version']}")
     if not isinstance(manifest["files"], dict):
         raise FormatError("manifest 'files' must be a JSON object")
+    for key in _MANIFEST_INTS:
+        value = manifest.get(key, 0)  # a missing key is reported where it is read
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FormatError(f"manifest {key!r} must be an integer, got {value!r}")
+    # "embeddings" names one file; every other entry is null or a list of them
+    for key, entry in manifest["files"].items():
+        names = [entry] if key == "embeddings" else [] if entry is None else entry
+        if not isinstance(names, list) or not all(map(_is_bare_name, names)):
+            raise FormatError(
+                f"manifest files entry {key!r} must name files inside the bundle, "
+                f"got {entry!r}"
+            )
     return manifest, p.parent
-
-
-def bundle_kind(path) -> str:
-    return _load_manifest(path)[0]["kind"]
 
 
 def write_encoder_bundle(trace: EncoderTrace, out_dir) -> Path:
@@ -327,6 +355,8 @@ def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
 
 
 def _read_stack(base: Path, names: list[str]) -> np.ndarray:
+    if not names:
+        raise FormatError("manifest lists no layer files")
     layers = [read_tensor(base / name) for name in names]
     shapes = {a.shape for a in layers}
     if len(shapes) > 1:
@@ -368,15 +398,6 @@ def read_decoder_bundle(path) -> DecoderTrace:
         )
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc}") from exc
-
-
-def read_bundle(path) -> EncoderTrace | DecoderTrace:
-    kind = bundle_kind(path)
-    if kind == "encoder":
-        return read_encoder_bundle(path)
-    if kind == "decoder":
-        return read_decoder_bundle(path)
-    raise FormatError(f"unknown bundle kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

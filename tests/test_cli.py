@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,81 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", "--config", cfg_path)
         assert code == 1
         assert "retntion" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_layers", "4"),
+        ("n_layers", 4.0),
+        ("retention", True),
+        ("retention", "0.5"),
+        ("window_rows", None),
+    ])
+    def test_mistyped_config_value_named(self, capsys, small_world, key, value):
+        cfg = {"encoder_trace": str(small_world / "enc"),
+               "decoder_trace": str(small_world / "dec"),
+               "retention": 0.5, "local_layer": 1, "window_rows": 2,
+               "window_cols": 2, "n_layers": 4, "hidden_size": 32, "ffn_size": 64,
+               "out_dir": str(small_world / "run"), key: value}
+        cfg_path = small_world / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "pipeline", "--config", cfg_path)
+        assert code == 1
+        assert key in err and "Traceback" not in err
+        assert not (small_world / "run").exists()
+
+    @pytest.mark.parametrize("budget", [("retention", 0.5), ("target_average", 0.375)])
+    def test_config_file_equals_flags(self, capsys, small_world, budget):
+        # every field but the other of retention/target_average, which exclude
+        # each other; output_layer null reads as unset, like an absent flag
+        fields = {"preset": "llava15",
+                  "encoder_trace": str(small_world / "enc"),
+                  "decoder_trace": str(small_world / "dec"),
+                  budget[0]: budget[1], "global_fraction": 0.5, "local_layer": 1,
+                  "window_rows": 2, "window_cols": 2, "score_source": "cls",
+                  "decoder_retention": 0.5, "prune_layer": 2, "n_layers": 4,
+                  "hidden_size": 32, "ffn_size": 64, "n_text_total": 10}
+        cfg_path = small_world / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**fields, "output_layer": None, "out_dir": str(small_world / "file")}
+        ))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in fields.items()]
+        capsys.readouterr()  # drop the fixture's gen output
+        code_a, out_a, _ = run(capsys, "pipeline", "--config", cfg_path)
+        code_b, out_b, _ = run(capsys, "pipeline", *flags,
+                               "--out", small_world / "flag")
+        assert code_a == code_b == 0
+        assert out_a.splitlines()[:2] == out_b.splitlines()[:2]
+        assert bundle_bytes(small_world / "file") == bundle_bytes(small_world / "flag")
+
+    def test_embeddings_outside_bundle_rejected(self, capsys, small_world):
+        shutil.copytree(small_world / "enc", small_world / "encX")
+        manifest_path = small_world / "enc" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["embeddings"] = "../encX/embeddings.vscn"
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(
+            capsys, "pipeline", "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec", "--retention", "0.5",
+            "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--out", small_world / "run",
+        )
+        assert code == 1
+        assert "embeddings" in err and "Traceback" not in err
+
+    def test_decoder_file_entry_not_a_name_rejected(self, capsys, small_world):
+        manifest_path = small_world / "dec" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["last_instr_attention"] = [1, 2]
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(
+            capsys, "pipeline", "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec", "--retention", "0.5",
+            "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--out", small_world / "run",
+        )
+        assert code == 1
+        assert "last_instr_attention" in err and "Traceback" not in err
 
     def test_visual_count_mismatch_named(self, capsys, small_world):
         code, _, err = run(

@@ -23,7 +23,18 @@ from vtreduce import (
     write_encoder_bundle,
     write_tensor,
 )
-from vtreduce.trace_io import MAGIC, bundle_kind, read_bundle
+from vtreduce.trace_io import MAGIC
+
+
+def tiny_bundle(out, kind):
+    """Write a small encoder or decoder bundle; return its manifest and reader."""
+    if kind == "encoder":
+        trace = generate_synthetic_encoder(
+            1, 2, 2, 1, 1, 2, include_self_attention=False
+        )
+        return write_encoder_bundle(trace, out), read_encoder_bundle
+    trace = generate_synthetic_decoder(1, 1, 1, 1, 4, 1)
+    return write_decoder_bundle(trace, out), read_decoder_bundle
 
 
 class TestTensorFile:
@@ -99,6 +110,14 @@ class TestTensorFile:
         with pytest.raises(DegenerateInputError):
             write_tensor(tmp_path / "t.vscn", np.array([1.0, np.nan]))
 
+    def test_f32_overflow_rejected(self, tmp_path):
+        from vtreduce import DegenerateInputError
+
+        path = tmp_path / "t.vscn"
+        with pytest.raises(DegenerateInputError, match="f32"):
+            write_tensor(path, np.array([1.0, 1e300]), dtype="f32")
+        assert not path.exists()
+
     def test_magic_is_written_first(self, tmp_path):
         path = tmp_path / "t.vscn"
         write_tensor(path, np.ones(1))
@@ -114,7 +133,6 @@ class TestBundles:
         assert np.array_equal(back.cls_attention, trace.cls_attention)
         assert np.array_equal(back.self_attention, trace.self_attention)
         assert np.array_equal(back.embeddings, trace.embeddings)
-        assert bundle_kind(tmp_path / "enc") == "encoder"
 
     def test_decoder_round_trip_lists_layer_files(self, tmp_path):
         trace = generate_synthetic_decoder(5, 8, 2, 2, 9, 3)
@@ -123,7 +141,6 @@ class TestBundles:
         assert len(listed) == 8
         back = read_decoder_bundle(tmp_path / "dec")
         assert np.array_equal(back.last_instr_attention, trace.last_instr_attention)
-        assert isinstance(read_bundle(tmp_path / "dec"), DecoderTrace)
 
     def test_loader_enforces_row_sums(self, tmp_path):
         trace = generate_synthetic_decoder(5, 2, 1, 1, 4, 1)
@@ -141,6 +158,55 @@ class TestBundles:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError):
             read_decoder_bundle(tmp_path / "dec")
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("encoder", "grid_h", "6"),
+            ("encoder", "grid_w", True),
+            ("encoder", "embed_dim", 8.0),
+            ("encoder", "n_layers", None),
+            ("decoder", "n_visual", "4"),
+            ("decoder", "n_pre_text", 1.0),
+            ("decoder", "n_post_text", False),
+            ("decoder", "n_heads", [1]),
+        ],
+    )
+    def test_manifest_integer_fields_typed(self, tmp_path, kind, field, value):
+        path, read = tiny_bundle(tmp_path / "b", kind)
+        manifest = json.loads(path.read_text())
+        manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=field):
+            read(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "kind, key, entry",
+        [
+            ("encoder", "embeddings", "../x/embeddings.vscn"),
+            ("encoder", "embeddings", None),
+            ("encoder", "embeddings", ["embeddings.vscn"]),
+            ("encoder", "cls_attention", "cls_00.vscn"),
+            ("encoder", "cls_attention", [".."]),
+            ("decoder", "last_instr_attention", [1, 2]),
+            ("decoder", "last_instr_attention", ["/abs/layer_00.vscn"]),
+            ("decoder", "last_instr_attention", None),
+            ("decoder", "last_instr_attention", []),
+            ("decoder", "last_instr_attention", ["missing.vscn"]),
+        ],
+    )
+    def test_bad_file_entries_rejected(self, tmp_path, kind, key, entry):
+        path, read = tiny_bundle(tmp_path / "b", kind)
+        manifest = json.loads(path.read_text())
+        manifest["files"][key] = entry
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            read(tmp_path / "b")
+
+    def test_manifest_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1]")
+        with pytest.raises(FormatError, match="JSON object"):
+            read_decoder_bundle(tmp_path)
 
     def test_kind_mismatch(self, tmp_path):
         trace = generate_synthetic_decoder(5, 2, 1, 1, 4, 1)
