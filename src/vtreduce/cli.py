@@ -140,7 +140,7 @@ def _load_pipeline_config(args) -> dict:
     flags = {key: getattr(args, key) for key in _PIPELINE_FIELDS}
     cfg.update({k: v for k, v in flags.items() if v is not None})
 
-    if cfg.get("preset"):
+    if cfg.get("preset") is not None:
         # the preset's dims, local_layer and prune_layer fill what cfg leaves unset
         preset = dataclasses.asdict(_preset(cfg["preset"]))
         cfg = {**preset.pop("dims"), **preset, **cfg}
@@ -241,7 +241,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _dims_from_args(args) -> cost_model.ModelDims:
-    if args.preset:
+    if args.preset is not None:
         return _preset(args.preset).dims
     if None in (args.n_layers, args.hidden_size, args.ffn_size):
         raise ConfigError(

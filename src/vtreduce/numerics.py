@@ -22,6 +22,16 @@ __all__ = [
 ]
 
 
+def check_shape(arr: np.ndarray, ndim: int | None = None) -> None:
+    """The shape half of ``as_tensor``: rank >= 1 (``ndim`` if given), dims >= 1."""
+    if arr.ndim == 0:
+        raise ShapeError("expected an array with at least one dimension, got a scalar")
+    if ndim is not None and arr.ndim != ndim:
+        raise ShapeError(f"expected a {ndim}-D array, got shape {arr.shape}")
+    if any(d < 1 for d in arr.shape):
+        raise ShapeError(f"dimensions must all be >= 1, got shape {arr.shape}")
+
+
 def as_tensor(values, ndim: int | None = None) -> np.ndarray:
     """Validate and convert to a C-order float64 array.
 
@@ -29,12 +39,7 @@ def as_tensor(values, ndim: int | None = None) -> np.ndarray:
     finite. ``ndim``, when given, additionally pins the expected rank.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        raise ShapeError("expected an array with at least one dimension, got a scalar")
-    if ndim is not None and arr.ndim != ndim:
-        raise ShapeError(f"expected a {ndim}-D array, got shape {arr.shape}")
-    if any(d < 1 for d in arr.shape):
-        raise ShapeError(f"dimensions must all be >= 1, got shape {arr.shape}")
+    check_shape(arr, ndim)
     if not np.isfinite(arr).all():
         raise DegenerateInputError("array contains NaN or Inf")
     return arr
@@ -88,8 +93,13 @@ def cosine_similarity(a, b) -> float:
     vb = as_tensor(b, ndim=1)
     if va.shape != vb.shape:
         raise ShapeError(f"vector lengths differ: {va.shape[0]} vs {vb.shape[0]}")
+    # the cosine ignores scale: dividing each vector by its largest magnitude
+    # keeps the squared norms of tiny or huge vectors from under- or overflowing
+    ma = float(np.abs(va).max())
+    mb = float(np.abs(vb).max())
+    if ma == 0.0 or mb == 0.0:
+        raise DegenerateInputError("cosine similarity undefined for zero-norm vector")
+    va, vb = va / ma, vb / mb
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm vector")
     return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))

@@ -19,6 +19,8 @@ byte-identical bundles.
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ShapeError, TraceError
-from .numerics import as_tensor, softmax_rows
+from .numerics import as_tensor, check_shape, softmax_rows
 from .rng import Xoshiro256
 
 MAGIC = b"VSCN"
@@ -80,16 +82,24 @@ def write_tensor(path, values, dtype: str = "f64") -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file back as a float64 array (f32 payloads upconvert)."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read tensor file: {exc}") from exc
-    if len(data) < 8:
-        raise FormatError("truncated header", offset=len(data))
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    version, code, ndim = struct.unpack_from("<HBB", data, 4)
+    """Read a tensor file back as a float64 array (f32 payloads upconvert).
+
+    Raises ``FormatError`` for a malformed file and ``DegenerateInputError``
+    when the payload holds a NaN or an Inf.
+    """
+    path = Path(path)
+    return as_tensor(_read_stack(path.parent, [path.name])[0])
+
+
+def _read_header(fh) -> tuple[tuple[int, ...], int]:
+    """Parse the header of an open tensor file and check it against the
+    file size; returns (dims, dtype code), with ``fh`` at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 8:
+        raise FormatError("truncated header", offset=size)
+    magic, version, code, ndim = struct.unpack("<4sHBB", fh.read(8))
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
     if code not in (_DTYPE_F32, _DTYPE_F64):
@@ -97,35 +107,87 @@ def read_tensor(path) -> np.ndarray:
     if ndim == 0:
         raise FormatError("scalar tensors are not supported", offset=7)
     dims_end = 8 + 8 * ndim
-    if len(data) < dims_end:
-        raise FormatError("truncated dims", offset=len(data))
-    dims = struct.unpack_from(f"<{ndim}Q", data, 8)
+    if size < dims_end:
+        raise FormatError("truncated dims", offset=size)
+    dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
     if any(d == 0 for d in dims):
         raise FormatError(f"zero dimension in {dims}", offset=8)
     elem = 4 if code == _DTYPE_F32 else 8
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if count * elem > _MAX_PAYLOAD_BYTES:
         raise FormatError(f"dims {dims} overflow the payload limit", offset=8)
     expected = dims_end + count * elem
-    if len(data) != expected:
-        kind = "truncated" if len(data) < expected else "oversized"
+    if size != expected:
+        kind = "truncated" if size < expected else "oversized"
         raise FormatError(
-            f"{kind} payload: {len(data) - dims_end} bytes, expected {count * elem}",
-            offset=min(len(data), expected),
+            f"{kind} payload: {size - dims_end} bytes, expected {count * elem}",
+            offset=min(size, expected),
         )
-    np_dtype = "<f4" if code == _DTYPE_F32 else "<f8"
-    arr = np.frombuffer(data, dtype=np_dtype, offset=dims_end).reshape(dims)
-    return arr.astype(np.float64)
+    return dims, code
+
+
+def _read_payload(fh, code: int, out: np.ndarray) -> None:
+    """Read the payload at ``fh`` into the C-order float64 array ``out``:
+    straight into it for f64, through one f32 buffer and a cast for f32."""
+    buf = out if code == _DTYPE_F64 else np.empty(out.shape, np.float32)
+    if fh.readinto(buf.data.cast("B")) != buf.nbytes:
+        raise FormatError("payload changed size while it was read")
+    if not np.little_endian:
+        buf.byteswap(inplace=True)
+    if buf is not out:
+        out[...] = buf
+
+
+def _read_stack(base: Path, names: list[str]) -> np.ndarray:
+    """Read same-shape tensor files into a new (len(names), ...) float64 stack.
+
+    Every header is checked against its file size, in order, and then the
+    shapes against each other, before any payload is read; each payload is
+    then copied once, into its slot. Values are left to the caller to check.
+    """
+    if not names:
+        raise FormatError("manifest lists no layer files")
+    paths = [base / name for name in names]
+    try:
+        heads = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                heads.append(_read_header(fh))
+        shapes = {dims for dims, _ in heads}
+        if len(shapes) > 1:
+            raise FormatError(f"layer files disagree on shape: {sorted(shapes)}")
+        stack = np.empty((len(paths), *shapes.pop()))
+        for path, (dims, code), layer in zip(paths, heads, stack):
+            with open(path, "rb") as fh:
+                fh.seek(8 + 8 * len(dims))
+                _read_payload(fh, code, layer)
+    except OSError as exc:
+        raise FormatError(f"cannot read tensor file: {exc}") from exc
+    return stack
 
 
 # ---------------------------------------------------------------------------
 # trace containers
 
 
-def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
-    sums = arr.sum(axis=-1)
+def _attention_sums(values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """An attention stack as a C-order float64 array, and its row sums.
+
+    The sums are the one scan of the entries: a finite IEEE sum has only
+    finite addends, so ``as_tensor`` rescans the stack only when some sum is
+    not finite, to raise its error for a NaN or Inf entry. Finite rows whose
+    sum overflows fail the row-sum check instead, as they always did.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    check_shape(arr, ndim)
+    with np.errstate(over="ignore"):  # an overflowed sum fails the row check
+        sums = arr.sum(axis=-1)
+    if not np.isfinite(sums).all():
+        as_tensor(arr)
+    return arr, sums
+
+
+def _check_rows_normalized(sums: np.ndarray, name: str) -> None:
     if not np.allclose(sums, 1.0, atol=ROW_SUM_TOL, rtol=0.0):
         worst = float(np.abs(sums - 1.0).max())
         raise TraceError(
@@ -163,20 +225,20 @@ class EncoderTrace:
             raise TraceError("trace needs cls_attention or self_attention")
         stacks = set()
         if self.cls_attention is not None:
-            self.cls_attention = as_tensor(self.cls_attention, ndim=3)
+            self.cls_attention, sums = _attention_sums(self.cls_attention, 3)
             if self.cls_attention.shape[2] != n:
                 raise TraceError(
                     f"cls_attention token dim {self.cls_attention.shape[2]} != {n}"
                 )
-            _check_rows_normalized(self.cls_attention, "cls_attention")
+            _check_rows_normalized(sums, "cls_attention")
             stacks.add(self.cls_attention.shape[:2])
         if self.self_attention is not None:
-            self.self_attention = as_tensor(self.self_attention, ndim=4)
+            self.self_attention, sums = _attention_sums(self.self_attention, 4)
             if self.self_attention.shape[2:] != (n, n):
                 raise TraceError(
                     f"self_attention token dims {self.self_attention.shape[2:]} != ({n}, {n})"
                 )
-            _check_rows_normalized(self.self_attention, "self_attention")
+            _check_rows_normalized(sums, "self_attention")
             stacks.add(self.self_attention.shape[:2])
         if len(stacks) > 1:
             raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
@@ -221,13 +283,13 @@ class DecoderTrace:
             raise TraceError(
                 "layout needs n_pre_text >= 0, n_visual >= 1, n_post_text >= 1"
             )
-        self.last_instr_attention = as_tensor(self.last_instr_attention, ndim=3)
+        self.last_instr_attention, sums = _attention_sums(self.last_instr_attention, 3)
         if self.last_instr_attention.shape[2] != self.seq_len:
             raise TraceError(
                 f"attention seq dim {self.last_instr_attention.shape[2]} != "
                 f"layout total {self.seq_len}"
             )
-        _check_rows_normalized(self.last_instr_attention, "last_instr_attention")
+        _check_rows_normalized(sums, "last_instr_attention")
 
     @property
     def seq_len(self) -> int:
@@ -268,6 +330,11 @@ _MANIFEST_INTS = (
 )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_bare_name(name) -> bool:
     """A file name with no directory part, so it resolves inside the bundle."""
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
@@ -286,13 +353,16 @@ def _load_manifest(path) -> tuple[dict, Path]:
     for key in ("version", "kind", "files"):
         if key not in manifest:
             raise FormatError(f"manifest missing key {key!r}")
-    if manifest["version"] != FORMAT_VERSION:
-        raise FormatError(f"unsupported manifest version {manifest['version']}")
+    version = manifest["version"]
+    if not _is_int(version):
+        raise FormatError(f"manifest 'version' must be an integer, got {version!r}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported manifest version {version}")
     if not isinstance(manifest["files"], dict):
         raise FormatError("manifest 'files' must be a JSON object")
     for key in _MANIFEST_INTS:
         value = manifest.get(key, 0)  # a missing key is reported where it is read
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise FormatError(f"manifest {key!r} must be an integer, got {value!r}")
     # "embeddings" names one file; every other entry is null or a list of them
     for key, entry in manifest["files"].items():
@@ -354,16 +424,6 @@ def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
     return _write_manifest(out, manifest)
 
 
-def _read_stack(base: Path, names: list[str]) -> np.ndarray:
-    if not names:
-        raise FormatError("manifest lists no layer files")
-    layers = [read_tensor(base / name) for name in names]
-    shapes = {a.shape for a in layers}
-    if len(shapes) > 1:
-        raise FormatError(f"layer files disagree on shape: {sorted(shapes)}")
-    return np.stack(layers)
-
-
 def read_encoder_bundle(path) -> EncoderTrace:
     manifest, base = _load_manifest(path)
     if manifest["kind"] != "encoder":
@@ -375,7 +435,8 @@ def read_encoder_bundle(path) -> EncoderTrace:
         return EncoderTrace(
             grid_h=manifest["grid_h"],
             grid_w=manifest["grid_w"],
-            embeddings=read_tensor(base / files["embeddings"]),
+            # read unchecked: EncoderTrace checks every value, once
+            embeddings=_read_stack(base, [files["embeddings"]])[0],
             cls_attention=_read_stack(base, cls_names) if cls_names else None,
             self_attention=_read_stack(base, self_names) if self_names else None,
         )

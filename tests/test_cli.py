@@ -135,6 +135,20 @@ class TestPipeline:
         assert "selected 18/36" in out
         assert (small_world / "from_file" / "selection.json").exists()
 
+    def test_empty_preset_is_unknown(self, capsys, small_world):
+        cfg_path = small_world / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "preset": "", "encoder_trace": str(small_world / "enc"),
+            "decoder_trace": str(small_world / "dec"), "retention": 0.5,
+            "local_layer": 1, "window_rows": 2, "window_cols": 2,
+            "n_layers": 4, "hidden_size": 32, "ffn_size": 64,
+        }))
+        code, _, err = run(capsys, "pipeline", "--config", cfg_path,
+                           "--out", small_world / "run")
+        assert code == 1
+        assert "unknown preset ''" in err
+        assert not (small_world / "run").exists()
+
     def test_unknown_config_key_named(self, capsys, small_world):
         cfg_path = small_world / "cfg.json"
         cfg_path.write_text(json.dumps({"retntion": 0.5}))
@@ -282,6 +296,14 @@ class TestFlopsAndBudget:
         code, _, err = run(capsys, "flops", "--preset", "nope", "--tokens", "1")
         assert code == 1
         assert "preset" in err
+
+    def test_flops_empty_preset_is_unknown(self, capsys):
+        code, out, err = run(capsys, "flops", "--preset", "", "--n-layers", "32",
+                             "--hidden-size", "4096", "--ffn-size", "11008",
+                             "--tokens", "576")
+        assert code == 1
+        assert out == ""
+        assert "unknown preset ''" in err
 
     def test_budget(self, capsys):
         code, out, _ = run(capsys, "budget", "--target", "0.111",

@@ -125,6 +125,19 @@ class TestCosine:
         got = cosine_similarity([1.0, 1.0], [1.0, 0.0])
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
+    @pytest.mark.parametrize("tiny", [4.9e-158, 1e-170, 5e-320])
+    def test_tiny_vectors_keep_their_angle(self, tiny):
+        # the squared norm of a vector this small underflows
+        assert cosine_similarity([tiny, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine_similarity([tiny, tiny], [1.0, 0.0]) == pytest.approx(
+            1 / math.sqrt(2), abs=1e-12
+        )
+
+    def test_huge_vectors_keep_their_angle(self):
+        assert cosine_similarity([1e300, 1e300], [1.0, 0.0]) == pytest.approx(
+            1 / math.sqrt(2), abs=1e-12
+        )
+
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])

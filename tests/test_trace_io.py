@@ -1,4 +1,8 @@
 import json
+import math
+import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from scipy.stats import spearmanr
 from conftest import near_mass
 from vtreduce import (
     DecoderTrace,
+    DegenerateInputError,
     EncoderTrace,
     FormatError,
     ShapeError,
@@ -23,7 +28,8 @@ from vtreduce import (
     write_encoder_bundle,
     write_tensor,
 )
-from vtreduce.trace_io import MAGIC
+from vtreduce.numerics import as_tensor
+from vtreduce.trace_io import FORMAT_VERSION, MAGIC, ROW_SUM_TOL, _load_manifest
 
 
 def tiny_bundle(out, kind):
@@ -35,6 +41,15 @@ def tiny_bundle(out, kind):
         return write_encoder_bundle(trace, out), read_encoder_bundle
     trace = generate_synthetic_decoder(1, 1, 1, 1, 4, 1)
     return write_decoder_bundle(trace, out), read_decoder_bundle
+
+
+def raw_tensor(path, arr, code=1):
+    """Write a tensor file byte by byte, without write_tensor's value checks;
+    code 0 stores f32, 1 stores f64."""
+    arr = np.asarray(arr)
+    header = struct.pack("<4sHBB", MAGIC, FORMAT_VERSION, code, arr.ndim)
+    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    path.write_bytes(header + arr.astype("<f4" if code == 0 else "<f8").tobytes())
 
 
 class TestTensorFile:
@@ -109,6 +124,18 @@ class TestTensorFile:
 
         with pytest.raises(DegenerateInputError):
             write_tensor(tmp_path / "t.vscn", np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("code, values", [
+        (0, [math.inf, 1.0]),
+        (0, [[1.0, -math.inf]]),
+        (1, [1.0, math.nan]),
+        (1, [[math.inf], [2.0]]),
+    ])
+    def test_non_finite_rejected_on_read(self, tmp_path, code, values):
+        path = tmp_path / "t.vscn"
+        raw_tensor(path, values, code)
+        with pytest.raises(DegenerateInputError, match="NaN or Inf"):
+            read_tensor(path)
 
     def test_f32_overflow_rejected(self, tmp_path):
         from vtreduce import DegenerateInputError
@@ -201,6 +228,15 @@ class TestBundles:
         manifest["files"][key] = entry
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError):
+            read(tmp_path / "b")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_manifest_version_must_be_an_integer(self, tmp_path, version):
+        path, read = tiny_bundle(tmp_path / "b", "decoder")
+        manifest = json.loads(path.read_text())
+        manifest["version"] = version
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="'version' must be an integer"):
             read(tmp_path / "b")
 
     def test_manifest_not_an_object(self, tmp_path):
@@ -312,7 +348,243 @@ class TestTraceValidation:
         with pytest.raises(TraceError):
             DecoderTrace(1, 4, 1, attn)
 
+    def test_overflowing_row_sum_is_a_row_error_without_warning(self):
+        attn = np.full((1, 2, 4), 0.25)
+        attn[0, 1] = 1e308  # finite entries whose sum overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="sum to 1"):
+                DecoderTrace(1, 2, 1, attn)
+
     def test_decoder_layout_total(self):
         attn = np.full((2, 1, 6), 1 / 6)
         with pytest.raises(TraceError):
             DecoderTrace(2, 4, 1, attn)  # layout says 7, rows have 6
+
+
+# ---------------------------------------------------------------------------
+# The eager bundle reader as it was before the single-pass read path: each
+# layer file read whole, upconverted, stacked, then validated by as_tensor
+# and a second pass for the row sums. The single-pass reader must return the
+# same bytes and raise the same error, type and text, on every bundle.
+
+
+def eager_read_tensor(path):
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read tensor file: {exc}") from exc
+    if len(data) < 8:
+        raise FormatError("truncated header", offset=len(data))
+    if data[:4] != MAGIC:
+        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
+    version, code, ndim = struct.unpack_from("<HBB", data, 4)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {version}", offset=4)
+    if code not in (0, 1):
+        raise FormatError(f"unknown dtype code {code}", offset=6)
+    if ndim == 0:
+        raise FormatError("scalar tensors are not supported", offset=7)
+    dims_end = 8 + 8 * ndim
+    if len(data) < dims_end:
+        raise FormatError("truncated dims", offset=len(data))
+    dims = struct.unpack_from(f"<{ndim}Q", data, 8)
+    if any(d == 0 for d in dims):
+        raise FormatError(f"zero dimension in {dims}", offset=8)
+    elem = 4 if code == 0 else 8
+    count = math.prod(dims)
+    if count * elem > 1 << 40:
+        raise FormatError(f"dims {dims} overflow the payload limit", offset=8)
+    expected = dims_end + count * elem
+    if len(data) != expected:
+        kind = "truncated" if len(data) < expected else "oversized"
+        raise FormatError(
+            f"{kind} payload: {len(data) - dims_end} bytes, expected {count * elem}",
+            offset=min(len(data), expected),
+        )
+    np_dtype = "<f4" if code == 0 else "<f8"
+    arr = np.frombuffer(data, dtype=np_dtype, offset=dims_end).reshape(dims)
+    return arr.astype(np.float64)
+
+
+def eager_read_stack(base, names):
+    if not names:
+        raise FormatError("manifest lists no layer files")
+    layers = [eager_read_tensor(base / name) for name in names]
+    shapes = {a.shape for a in layers}
+    if len(shapes) > 1:
+        raise FormatError(f"layer files disagree on shape: {sorted(shapes)}")
+    return np.stack(layers)
+
+
+def eager_rows_normalized(arr, name):
+    sums = arr.sum(axis=-1)
+    if not np.allclose(sums, 1.0, atol=ROW_SUM_TOL, rtol=0.0):
+        worst = float(np.abs(sums - 1.0).max())
+        raise TraceError(
+            f"{name} rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3g}"
+        )
+
+
+def eager_read_encoder_bundle(path):
+    manifest, base = _load_manifest(path)
+    if manifest["kind"] != "encoder":
+        raise FormatError(f"expected an encoder bundle, got kind {manifest['kind']!r}")
+    files = manifest["files"]
+    cls_names = files.get("cls_attention")
+    self_names = files.get("self_attention")
+    try:
+        grid_h, grid_w = manifest["grid_h"], manifest["grid_w"]
+        emb = eager_read_tensor(base / files["embeddings"])
+        cls = eager_read_stack(base, cls_names) if cls_names else None
+        slf = eager_read_stack(base, self_names) if self_names else None
+    except KeyError as exc:
+        raise FormatError(f"manifest missing key {exc}") from exc
+    # EncoderTrace.__post_init__
+    if grid_h < 1 or grid_w < 1:
+        raise TraceError(f"grid {grid_h}x{grid_w} must be >= 1x1")
+    n = grid_h * grid_w
+    emb = as_tensor(emb, ndim=2)
+    if emb.shape[0] != n:
+        raise TraceError(f"embeddings rows {emb.shape[0]} != n_tokens {n}")
+    if cls is None and slf is None:
+        raise TraceError("trace needs cls_attention or self_attention")
+    stacks = set()
+    if cls is not None:
+        cls = as_tensor(cls, ndim=3)
+        if cls.shape[2] != n:
+            raise TraceError(f"cls_attention token dim {cls.shape[2]} != {n}")
+        eager_rows_normalized(cls, "cls_attention")
+        stacks.add(cls.shape[:2])
+    if slf is not None:
+        slf = as_tensor(slf, ndim=4)
+        if slf.shape[2:] != (n, n):
+            raise TraceError(f"self_attention token dims {slf.shape[2:]} != ({n}, {n})")
+        eager_rows_normalized(slf, "self_attention")
+        stacks.add(slf.shape[:2])
+    if len(stacks) > 1:
+        raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
+    return {"embeddings": emb, "cls_attention": cls, "self_attention": slf}
+
+
+def eager_read_decoder_bundle(path):
+    manifest, base = _load_manifest(path)
+    if manifest["kind"] != "decoder":
+        raise FormatError(f"expected a decoder bundle, got kind {manifest['kind']!r}")
+    try:
+        n_pre, n_vis, n_post = (
+            manifest["n_pre_text"], manifest["n_visual"], manifest["n_post_text"]
+        )
+        attn = eager_read_stack(base, manifest["files"]["last_instr_attention"])
+    except KeyError as exc:
+        raise FormatError(f"manifest missing key {exc}") from exc
+    # DecoderTrace.__post_init__
+    if n_pre < 0 or n_vis < 1 or n_post < 1:
+        raise TraceError("layout needs n_pre_text >= 0, n_visual >= 1, n_post_text >= 1")
+    attn = as_tensor(attn, ndim=3)
+    seq_len = n_pre + n_vis + n_post
+    if attn.shape[2] != seq_len:
+        raise TraceError(f"attention seq dim {attn.shape[2]} != layout total {seq_len}")
+    eager_rows_normalized(attn, "last_instr_attention")
+    return {"last_instr_attention": attn}
+
+
+def read_outcome(read, path):
+    """The arrays a reader returns, as (name, dtype, shape, bytes), or the
+    type and text of the error it raises."""
+    try:
+        got = read(path)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return type(exc), str(exc)
+    if not isinstance(got, dict):
+        got = {k: getattr(got, k) for k in ("embeddings", "cls_attention",
+                                            "self_attention", "last_instr_attention")
+               if hasattr(got, k)}
+    return sorted((k, None if a is None else (a.dtype.str, a.shape, a.tobytes()))
+                  for k, a in got.items())
+
+
+CORRUPTIONS = [None, "magic", "truncate", "oversize", "shape", "missing",
+               "nonfinite", "row", "overflow", "token_dim_nan"]
+
+
+def build_bundle(out, kind, f32_layers, seed):
+    """A 2x3-token, 3-layer, 2-head bundle: "cls" or "self" encoder, or
+    decoder; layer i stored as f32 when f32_layers[i]. Returns the manifest
+    path, the layer file names, the stored arrays and their dtype codes."""
+    if kind == "decoder":
+        trace = generate_synthetic_decoder(seed, 3, 2, 1, 4, 2)
+        manifest = write_decoder_bundle(trace, out)
+        stack = trace.last_instr_attention
+    else:
+        trace = generate_synthetic_encoder(
+            seed, 2, 3, 3, 2, 4, include_self_attention=kind == "self"
+        )
+        if kind == "self":
+            trace = EncoderTrace(2, 3, trace.embeddings,
+                                 self_attention=trace.self_attention)
+        manifest = write_encoder_bundle(trace, out)
+        stack = trace.cls_attention if kind == "cls" else trace.self_attention
+    key = {"decoder": "last_instr_attention", "cls": "cls_attention",
+           "self": "self_attention"}[kind]
+    names = json.loads(manifest.read_text())["files"][key]
+    codes = [0 if f32 else 1 for f32 in f32_layers]
+    for name, layer, code in zip(names, stack, codes):
+        raw_tensor(out / name, layer, code)
+    return manifest, names, stack, codes
+
+
+class TestSinglePassReaderMatchesEager:
+    @given(
+        kind=st.sampled_from(["cls", "self", "decoder"]),
+        corruption=st.sampled_from(CORRUPTIONS),
+        f32_layers=st.lists(st.booleans(), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_arrays_or_same_error(self, tmp_path_factory, kind, corruption,
+                                       f32_layers, seed, data):
+        out = tmp_path_factory.mktemp("bundle")
+        manifest, names, stack, codes = build_bundle(out, kind, f32_layers, seed)
+        k = data.draw(st.integers(0, len(names) - 1), label="layer")
+        target, layer, code = out / names[k], stack[k].copy(), codes[k]
+        if corruption in ("magic", "truncate", "oversize", "missing", "nonfinite") \
+                and kind != "decoder" and data.draw(st.booleans(), label="embeddings"):
+            target, code = out / "embeddings.vscn", 1
+            layer = read_tensor(target)
+        blob = target.read_bytes()
+        pos = data.draw(st.integers(0, layer.size - 1), label="position")
+        if corruption == "magic":
+            target.write_bytes(data.draw(st.binary(min_size=4, max_size=4)
+                                         .filter(lambda b: b != MAGIC)) + blob[4:])
+        elif corruption == "truncate":
+            target.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        elif corruption == "oversize":
+            target.write_bytes(blob + b"\0" * data.draw(st.integers(1, 16)))
+        elif corruption == "shape":
+            raw_tensor(target, layer[:1], code)  # one head instead of two
+        elif corruption == "missing":
+            target.unlink()
+        elif corruption in ("nonfinite", "token_dim_nan"):
+            layer.flat[pos] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            raw_tensor(target, layer, code)
+            if corruption == "token_dim_nan":
+                fields = json.loads(manifest.read_text())
+                fields["n_visual" if kind == "decoder" else "grid_w"] += 1
+                manifest.write_text(json.dumps(fields))
+        elif corruption == "row":
+            layer.flat[pos] += data.draw(st.sampled_from([2e-5, 1e-3, -0.5]))
+            raw_tensor(target, layer, code)
+        elif corruption == "overflow":
+            rows = layer.reshape(-1, layer.shape[-1])
+            rows[pos // layer.shape[-1]] = 1e308  # finite entries, infinite sum
+            raw_tensor(target, layer, 1)
+        if kind == "decoder":
+            new, eager = read_decoder_bundle, eager_read_decoder_bundle
+        else:
+            new, eager = read_encoder_bundle, eager_read_encoder_bundle
+        expected = read_outcome(eager, out)
+        assert read_outcome(new, out) == expected
+        assert isinstance(expected, list) == (corruption is None)
