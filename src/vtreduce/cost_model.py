@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .decoder_prune import LayerTokenProfile, kv_cache_entries
+from .decoder_prune import LayerTokenProfile, check_prune_layer, kv_cache_entries
 from .encoder_scan import TokenSelection
 from .errors import BudgetError, ConfigError
 
@@ -83,13 +83,6 @@ def flops_total(tokens_per_layer, dims: ModelDims) -> float:
     return total
 
 
-def _check_prune_layer(prune_layer: int, n_layers: int) -> None:
-    if not 1 <= prune_layer <= n_layers:
-        raise ConfigError(
-            "prune_layer", f"must be in [1, {n_layers}], got {prune_layer}"
-        )
-
-
 def average_retention(
     encoder_retention: float,
     decoder_retention: float,
@@ -101,7 +94,7 @@ def average_retention(
     The first ``prune_layer`` layers run at the encoder-stage retention,
     the remaining layers at its product with the decoder-stage retention.
     """
-    _check_prune_layer(prune_layer, n_layers)
+    check_prune_layer(prune_layer, n_layers)
     full = prune_layer
     pruned = n_layers - prune_layer
     return encoder_retention * (full + pruned * decoder_retention) / n_layers
@@ -118,10 +111,7 @@ def solve_encoder_retention(
         raise ConfigError(
             "target_average", f"must be in (0, 1], got {target_average}"
         )
-    _check_prune_layer(prune_layer, n_layers)
-    full = prune_layer
-    pruned = n_layers - prune_layer
-    weight = (full + pruned * decoder_retention) / n_layers
+    weight = average_retention(1.0, decoder_retention, prune_layer, n_layers)
     if weight <= 0.0:
         raise BudgetError("decoder schedule retains nothing; target unreachable")
     result = target_average / weight

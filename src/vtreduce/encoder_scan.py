@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError, TraceError
-from .numerics import as_tensor, round_half_up, top_k_indices
+from .numerics import (
+    as_tensor, check_shape, round_half_up, row_peaks, top_k_indices, unit_rows,
+)
 from .trace_io import EncoderTrace, write_tensor
 
 SCORE_SOURCES = ("cls", "self_avg")
@@ -250,19 +252,10 @@ def select_tokens(trace: EncoderTrace, cfg: ScanConfig) -> TokenSelection:
             f"need local_layer {cfg.local_layer} <= output_layer {output_layer}"
             f" <= {trace.n_layers} encoder layers",
         )
-    if cfg.window_rows > trace.grid_h:
-        raise ConfigError(
-            "window_rows", f"{cfg.window_rows} exceeds grid height {trace.grid_h}"
-        )
-    if cfg.window_cols > trace.grid_w:
-        raise ConfigError(
-            "window_cols", f"{cfg.window_cols} exceeds grid width {trace.grid_w}"
-        )
-
-    total, budget_g, budget_l = stage1_budgets(n, cfg.retention, cfg.global_fraction)
     windows = partition_windows(
         trace.grid_h, trace.grid_w, cfg.window_rows, cfg.window_cols
     )
+    total, budget_g, budget_l = stage1_budgets(n, cfg.retention, cfg.global_fraction)
     local_scores = head_averaged_scores(trace, cfg.local_layer, cfg.score_source)
     local = local_scan(local_scores, windows, budget_l)
     global_scores = head_averaged_scores(trace, output_layer, cfg.score_source)
@@ -287,7 +280,9 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     ``merge_assignment`` and ``merged_embeddings`` filled; output rows
     follow ascending selected index.
     """
-    emb = as_tensor(embeddings, ndim=2)
+    emb = np.ascontiguousarray(embeddings, dtype=np.float64)
+    check_shape(emb, 2)
+    peaks = row_peaks(emb)
     if emb.shape[0] != selection.n_tokens:
         raise TraceError(
             f"embeddings rows {emb.shape[0]} != selection n_tokens {selection.n_tokens}"
@@ -302,11 +297,11 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
             selection, merge_assignment={}, merged_embeddings=emb[sel].copy()
         )
 
-    norms = np.linalg.norm(emb, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(peaks == 0.0)
     if zero.size:
         raise DegenerateInputError(f"zero-norm embedding at token {int(zero[0])}")
-    sims = _unit_rows(emb, norms, unsel) @ _unit_rows(emb, norms, sel).T
+    # emb[...] gathers copies, which unit_rows may normalise in place
+    sims = unit_rows(emb[unsel]) @ unit_rows(emb[sel]).T
     nearest = sims.argmax(axis=1)  # first max = lowest selected index
     del sims  # so the grouping's buffers do not raise the peak
     assignment = dict(zip(unsel.tolist(), sel[nearest].tolist()))
@@ -315,14 +310,6 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
         merge_assignment=assignment,
         merged_embeddings=_group_means(emb, sel, unsel, nearest),
     )
-
-
-def _unit_rows(emb, norms, rows) -> np.ndarray:
-    # divides in place: the same values as (emb / norms[:, None])[rows]
-    # without a full-size temporary
-    unit = emb[rows]
-    unit /= norms[rows, None]
-    return unit
 
 
 def _group_means(emb, sel, unsel, nearest) -> np.ndarray:

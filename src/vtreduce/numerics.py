@@ -2,8 +2,8 @@
 
 All values are float64 internally regardless of how traces are stored;
 selection logic is rank-based, so the extra precision only tightens
-golden-value checks. Every function here is pure and safe to call from
-concurrent workers.
+golden-value checks. Every function here but the in-place ``unit_rows``
+is pure and safe to call from concurrent workers.
 """
 
 import math
@@ -93,13 +93,43 @@ def cosine_similarity(a, b) -> float:
     vb = as_tensor(b, ndim=1)
     if va.shape != vb.shape:
         raise ShapeError(f"vector lengths differ: {va.shape[0]} vs {vb.shape[0]}")
-    # the cosine ignores scale: dividing each vector by its largest magnitude
-    # keeps the squared norms of tiny or huge vectors from under- or overflowing
-    ma = float(np.abs(va).max())
-    mb = float(np.abs(vb).max())
-    if ma == 0.0 or mb == 0.0:
+    rows = np.stack([va, vb])
+    peaks = row_peaks(rows)
+    if not peaks.all():
         raise DegenerateInputError("cosine similarity undefined for zero-norm vector")
-    va, vb = va / ma, vb / mb
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+    # a cosine ignores scale: scaled exactly, even vectors whose squares are
+    # subnormal keep every bit of their angle
+    ua, ub = unit_rows(_unit_peaks(rows, peaks))
+    return float(np.clip(ua @ ub, -1.0, 1.0))
+
+
+def row_peaks(arr: np.ndarray) -> np.ndarray:
+    """Largest magnitude in each row of a 2-D float64 array; raises as
+    ``as_tensor`` does when an entry is NaN or Inf."""
+    peaks = np.maximum(arr.max(axis=1), -arr.min(axis=1))
+    if not np.isfinite(peaks).all():
+        raise DegenerateInputError("array contains NaN or Inf")
+    return peaks
+
+
+def _unit_peaks(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """``rows`` times the powers of two that bring their peaks into [0.5, 1)."""
+    return np.ldexp(rows, -np.frexp(peaks)[1][:, None])
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide the rows of a C-order float64 array, none all zero, by their
+    L2 norms, in place; returns ``rows``. A row whose plain norm underflows
+    to 0 or overflows is first put through ``_unit_peaks``; every other row
+    keeps its plain norm's rounding, which merge ties are pinned to."""
+    # norms of blocks of rows: the same values, without a buffer of squares
+    # as large as ``rows``
+    with np.errstate(over="ignore"):  # an overflowed norm is redone below
+        norms = np.concatenate([np.linalg.norm(rows[i:i + 128], axis=1, keepdims=True)
+                                for i in range(0, len(rows), 128)])
+    lost = ((norms == 0.0) | (norms == np.inf)).ravel()
+    if lost.any():
+        rows[lost] = _unit_peaks(rows[lost], row_peaks(rows[lost]))
+        norms[lost] = np.linalg.norm(rows[lost], axis=1, keepdims=True)
+    rows /= norms
+    return rows

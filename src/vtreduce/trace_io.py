@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ShapeError, TraceError
-from .numerics import as_tensor, check_shape, softmax_rows
+from .numerics import as_tensor, check_shape, softmax_rows, unit_rows
 from .rng import Xoshiro256
 
 MAGIC = b"VSCN"
@@ -106,6 +106,8 @@ def _read_header(fh) -> tuple[tuple[int, ...], int]:
         raise FormatError(f"unknown dtype code {code}", offset=6)
     if ndim == 0:
         raise FormatError("scalar tensors are not supported", offset=7)
+    if ndim > 31:  # a layer stack adds an axis, and numpy 1.x allows 32
+        raise FormatError(f"ndim {ndim} exceeds 31", offset=7)
     dims_end = 8 + 8 * ndim
     if size < dims_end:
         raise FormatError("truncated dims", offset=size)
@@ -346,7 +348,8 @@ def _load_manifest(path) -> tuple[dict, Path]:
         raise FormatError(f"no manifest at {p}")
     try:
         manifest = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    # ValueError also covers bad UTF-8 and integers past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError("manifest must be a JSON object")
@@ -373,6 +376,15 @@ def _load_manifest(path) -> tuple[dict, Path]:
                 f"got {entry!r}"
             )
     return manifest, p.parent
+
+
+def _check_counts(manifest: dict, trace, keys: tuple[str, ...]):
+    """Return ``trace`` when each of ``keys`` that the manifest has matches it."""
+    for key in (k for k in keys if k in manifest):
+        if manifest[key] != getattr(trace, key):
+            raise FormatError(f"manifest {key!r} is {manifest[key]}, but the "
+                              f"files hold {getattr(trace, key)}")
+    return trace
 
 
 def write_encoder_bundle(trace: EncoderTrace, out_dir) -> Path:
@@ -432,7 +444,7 @@ def read_encoder_bundle(path) -> EncoderTrace:
     cls_names = files.get("cls_attention")
     self_names = files.get("self_attention")
     try:
-        return EncoderTrace(
+        trace = EncoderTrace(
             grid_h=manifest["grid_h"],
             grid_w=manifest["grid_w"],
             # read unchecked: EncoderTrace checks every value, once
@@ -442,6 +454,7 @@ def read_encoder_bundle(path) -> EncoderTrace:
         )
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc}") from exc
+    return _check_counts(manifest, trace, ("n_layers", "n_heads", "embed_dim"))
 
 
 def read_decoder_bundle(path) -> DecoderTrace:
@@ -449,7 +462,7 @@ def read_decoder_bundle(path) -> DecoderTrace:
     if manifest["kind"] != "decoder":
         raise FormatError(f"expected a decoder bundle, got kind {manifest['kind']!r}")
     try:
-        return DecoderTrace(
+        trace = DecoderTrace(
             n_pre_text=manifest["n_pre_text"],
             n_visual=manifest["n_visual"],
             n_post_text=manifest["n_post_text"],
@@ -459,6 +472,7 @@ def read_decoder_bundle(path) -> DecoderTrace:
         )
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc}") from exc
+    return _check_counts(manifest, trace, ("n_layers", "n_heads"))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +532,7 @@ def generate_synthetic_encoder(
                 self_attn[i, h] = softmax_rows(logits[i, h] - weight * dist)
 
     emb = rng.normals(n * embed_dim).reshape(n, embed_dim)
-    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    unit_rows(emb)
 
     return EncoderTrace(
         grid_h=grid_h,

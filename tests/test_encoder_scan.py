@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vtreduce import (
     EncoderTrace,
     ScanConfig,
     TraceError,
+    cosine_similarity,
     global_scan,
     head_averaged_scores,
     local_scan,
@@ -296,6 +298,15 @@ class TestMergeTokens:
         with pytest.raises(DegenerateInputError, match="token 1"):
             merge_tokens(emb, sel)
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e200, 1e308])
+    def test_extreme_scales_keep_their_angle(self, scale):
+        # the squared norms of rows at these scales under- or overflow
+        emb = np.array([[scale, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1 * scale, scale]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = merge_tokens(emb, select_stub(4, [0, 1]))
+        assert merged.merge_assignment == {2: 0, 3: 1}
+
     def test_report_and_write(self, tmp_path):
         rng = np.random.default_rng(9)
         trace = random_encoder_trace(rng, 3, 3, embed_dim=5)
@@ -396,6 +407,26 @@ class TestMergeMatchesSeed:
         assert got.merge_assignment == want_assignment
         tol = emb.shape[0] * np.finfo(np.float64).eps * np.abs(emb).max()
         assert np.allclose(got.merged_embeddings, want, rtol=0.0, atol=tol)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(), st.lists(st.integers(-1000, 1000), min_size=40, max_size=40))
+    @example((np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.1]]), [0, 1]), [0] * 40)
+    def test_target_is_a_cosine_argmax(self, case, exponents):
+        # rows scaled by powers of two up to 2**+-1000: merge's similarities
+        # must agree with cosine_similarity on the same rows. A row scaled
+        # down to zero has no direction. A row whose peak's square is
+        # subnormal keeps its plain norm's rounding in merge, which the seed
+        # reference above pins, so merge can miss the best cosine there
+        emb, selected = case
+        emb = np.ldexp(emb, np.array(exponents[: emb.shape[0]])[:, None])
+        peaks = np.abs(emb).max(axis=1)
+        if not peaks.all() or ((peaks >= 2.0**-538) & (peaks < 2.0**-510)).any():
+            return
+        got = merge_tokens(emb, select_stub(emb.shape[0], selected))
+        for u, target in got.merge_assignment.items():
+            best = max(cosine_similarity(emb[u], emb[s]) for s in selected)
+            assert cosine_similarity(emb[u], emb[target]) >= best - 1e-12
 
 
 def select_stub(n, selected):

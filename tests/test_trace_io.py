@@ -1,12 +1,13 @@
 import json
 import math
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import spearmanr
@@ -19,6 +20,7 @@ from vtreduce import (
     FormatError,
     ShapeError,
     TraceError,
+    VtReduceError,
     generate_synthetic_decoder,
     generate_synthetic_encoder,
     read_decoder_bundle,
@@ -243,6 +245,24 @@ class TestBundles:
         (tmp_path / "manifest.json").write_text("[1]")
         with pytest.raises(FormatError, match="JSON object"):
             read_decoder_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("encoder", "n_layers", 99),
+            ("encoder", "n_heads", 7),
+            ("encoder", "embed_dim", 1),
+            ("decoder", "n_layers", 2),
+            ("decoder", "n_heads", 0),
+        ],
+    )
+    def test_manifest_counts_must_match_files(self, tmp_path, kind, field, value):
+        path, read = tiny_bundle(tmp_path / "b", kind)
+        manifest = json.loads(path.read_text())
+        manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=field):
+            read(tmp_path / "b")
 
     def test_kind_mismatch(self, tmp_path):
         trace = generate_synthetic_decoder(5, 2, 1, 1, 4, 1)
@@ -588,3 +608,109 @@ class TestSinglePassReaderMatchesEager:
         expected = read_outcome(eager, out)
         assert read_outcome(new, out) == expected
         assert isinstance(expected, list) == (corruption is None)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary: whatever the header bytes of a tensor file or
+# the JSON of a manifest hold, a reader returns a valid result or raises a
+# VtReduceError, never any other exception.
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=20), inner, max_size=4),
+    max_leaves=10,
+)
+MANIFEST_KEYS = ["version", "kind", "files", "grid_h", "grid_w", "n_layers",
+                 "n_heads", "embed_dim", "n_pre_text", "n_visual", "n_post_text"]
+FILE_KEYS = ["embeddings", "cls_attention", "self_attention", "last_instr_attention"]
+READERS = {"tensor": read_tensor, "encoder": read_encoder_bundle,
+           "decoder": read_decoder_bundle}
+
+
+@st.composite
+def tensor_headers(draw):
+    """Header bytes: random, or fields each valid or not."""
+    magic = draw(st.sampled_from([MAGIC, b"VSCX"]))
+    version = draw(st.sampled_from([FORMAT_VERSION, 0, 2**16 - 1]))
+    code = draw(st.integers(0, 255) | st.sampled_from([0, 1]))
+    ndim = draw(st.integers(0, 4) | st.sampled_from([31, 32, 64, 255]))
+    drawn = min(ndim, 4)  # the dims past the fourth are 1
+    dims = draw(st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 6),
+                         min_size=drawn, max_size=drawn)) + [1] * (ndim - drawn)
+    return struct.pack("<4sHBB", magic, version, code, ndim) + struct.pack(
+        f"<{ndim}Q", *dims)
+
+
+def read_or_domain_error(kind, path):
+    """Read ``path``; a trace that comes back must agree with its manifest."""
+    try:
+        got = READERS[kind](path)
+    except VtReduceError:
+        return
+    if kind == "tensor":
+        assert isinstance(got, np.ndarray) and np.isfinite(got).all()
+        return
+    assert isinstance(got, EncoderTrace if kind == "encoder" else DecoderTrace)
+    manifest = json.loads(path.read_text())
+    for key in MANIFEST_KEYS[3:]:
+        if key in manifest and hasattr(got, key):
+            assert manifest[key] == getattr(got, key), key
+
+
+class TestInputBoundaryFuzz:
+    @given(
+        kind=st.sampled_from(["tensor", "encoder", "decoder"]),
+        header=tensor_headers() | st.binary(max_size=40),
+        payload=st.none() | st.binary(max_size=80),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(kind="tensor", payload=bytes(8), data=None,  # 64 dims of 1
+             header=struct.pack("<4sHBB", MAGIC, 1, 1, 64) + struct.pack("<64Q", *[1] * 64))
+    def test_tensor_header_bytes(self, kind, header, payload, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            if kind == "tensor":
+                write_tensor(out / "t.vscn", [0.25, 0.75])
+                target = path = out / "t.vscn"
+            else:
+                path = tiny_bundle(out, kind)[0]
+                target = data.draw(st.sampled_from(sorted(out.glob("*.vscn"))))
+            blob = target.read_bytes()
+            ndim = blob[7]
+            if payload is None:
+                payload = blob[8 + 8 * ndim:]
+            target.write_bytes(header + payload)
+            read_or_domain_error(kind, path)
+
+    @given(
+        kind=st.sampled_from(["encoder", "decoder"]),
+        edits=st.lists(st.tuples(st.sampled_from(MANIFEST_KEYS + FILE_KEYS),
+                                 json_values), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(kind="encoder", edits=[("n_heads", 7)])
+    def test_manifest_fields(self, kind, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tiny_bundle(Path(tmp), kind)[0]
+            manifest = json.loads(path.read_text())
+            for key, value in edits:
+                files = manifest.get("files")
+                owner = files if key in FILE_KEYS and isinstance(files, dict) else manifest
+                owner[key] = value
+            path.write_text(json.dumps(manifest))
+            read_or_domain_error(kind, path)
+
+    @given(kind=st.sampled_from(["encoder", "decoder"]),
+           text=st.binary(max_size=60) | st.text(max_size=60).map(str.encode))
+    @settings(max_examples=100, deadline=None)
+    @example(kind="decoder", text=b"\xff\xfe{}")
+    @example(kind="encoder", text=b'{"version": ' + b"1" * 5000 + b"}")
+    @example(kind="decoder", text=b"[" * 100_000)
+    def test_manifest_bytes(self, kind, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tiny_bundle(Path(tmp), kind)[0]
+            path.write_bytes(text)
+            read_or_domain_error(kind, path)
