@@ -7,7 +7,6 @@ CSV schemas (column order is part of the interface):
     attention_sums.csv   layer,head,sum
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .decoder_prune import text_attention_scores
 from .errors import ConfigError, LayoutError
 from .numerics import round_half_up, top_k_indices
-from .trace_io import DecoderTrace
+from .trace_io import DecoderTrace, write_csv
 
 __all__ = [
     "BiasHistogram",
@@ -81,22 +80,11 @@ def attention_sum_per_layer(trace: DecoderTrace) -> AttentionSumCurve:
     return AttentionSumCurve(per_head=per_head, head_mean=per_head.mean(axis=1))
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows to ``path``: a file path or an open text stream."""
-    if not hasattr(path, "write"):
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, header, rows)
-        return
-    writer = csv.writer(path)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def write_bias_histogram_csv(hist: BiasHistogram, path) -> None:
     rows = [[hist.layer, r, c, int(n)] for (r, c), n in np.ndenumerate(hist.counts)]
-    _write_csv(path, ["layer", "row", "col", "count"], rows)
+    write_csv(path, ["layer", "row", "col", "count"], rows)
 
 
 def write_attention_sums_csv(curve: AttentionSumCurve, path) -> None:
     rows = [[i + 1, h, f"{v:.12g}"] for (i, h), v in np.ndenumerate(curve.per_head)]
-    _write_csv(path, ["layer", "head", "sum"], rows)
+    write_csv(path, ["layer", "head", "sum"], rows)

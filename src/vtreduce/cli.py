@@ -219,9 +219,7 @@ def _cmd_pipeline(args) -> int:
         stage = "write"
         out_dir.mkdir(parents=True, exist_ok=True)
         encoder_scan.write_selection(selection, out_dir)
-        (out_dir / "profile.json").write_text(
-            json.dumps(dataclasses.asdict(profile), sort_keys=True, indent=2) + "\n"
-        )
+        trace_io.write_json(out_dir / "profile.json", dataclasses.asdict(profile))
         cost_model.write_report_csv(report, out_dir / "cost_report.csv")
         cost_model.write_report_summary(report, out_dir / "cost_summary.json")
     except VtReduceError as exc:

@@ -12,14 +12,13 @@ per-layer profile. Reports carry both numbers; the uniform one is the
 comparable headline.
 """
 
-import csv
-import json
+import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 from .decoder_prune import LayerTokenProfile, check_prune_layer, kv_cache_entries
 from .encoder_scan import TokenSelection
 from .errors import BudgetError, ConfigError
+from .trace_io import write_csv, write_json
 
 __all__ = [
     "ModelDims",
@@ -181,22 +180,12 @@ def build_report(
 
 def write_report_csv(report: CostReport, path) -> None:
     """One row per decoder layer: layer, visual_tokens, kv_tokens."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "visual_tokens", "kv_tokens"])
-        rows = zip(report.tokens_per_layer, report.kv_tokens_per_layer)
-        for i, (tok, kv) in enumerate(rows, start=1):
-            writer.writerow([i, tok, kv])
+    rows = zip(report.tokens_per_layer, report.kv_tokens_per_layer)
+    write_csv(path, ["layer", "visual_tokens", "kv_tokens"],
+              [[i, tok, kv] for i, (tok, kv) in enumerate(rows, start=1)])
 
 
 def write_report_summary(report: CostReport, path) -> None:
-    summary = {
-        "n_visual_original": report.n_visual_original,
-        "avg_retention_overall": report.avg_retention_overall,
-        "total_flops": report.total_flops,
-        "total_flops_uniform": report.total_flops_uniform,
-        "flops_baseline": report.flops_baseline,
-        "prefill_speedup_estimate": report.prefill_speedup_estimate,
-        "kv_fraction": report.kv_fraction,
-    }
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    """The scalar fields of ``report``; the per-layer lists go to the CSV."""
+    fields = dataclasses.asdict(report)
+    write_json(path, {k: v for k, v in fields.items() if not isinstance(v, list)})

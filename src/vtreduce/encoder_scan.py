@@ -9,7 +9,6 @@ their most cosine-similar selected token by unweighted group averaging.
 """
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from .errors import BudgetError, ConfigError, DegenerateInputError, TraceError
 from .numerics import (
     as_tensor, check_shape, round_half_up, row_peaks, top_k_indices, unit_rows,
 )
-from .trace_io import EncoderTrace, write_tensor
+from .trace_io import EncoderTrace, write_json, write_tensor
 
 SCORE_SOURCES = ("cls", "self_avg")
 
@@ -72,11 +71,9 @@ class ScanConfig:
                 "output_layer",
                 f"must be >= local_layer {self.local_layer}, got {self.output_layer}",
             )
-        if self.window_rows < 1 or self.window_cols < 1:
-            raise ConfigError(
-                "window_rows", f"window grid must be >= 1x1, got "
-                f"{self.window_rows}x{self.window_cols}"
-            )
+        for key in ("window_rows", "window_cols"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, f"must be >= 1, got {getattr(self, key)}")
         if self.score_source not in SCORE_SOURCES:
             raise ConfigError(
                 "score_source",
@@ -144,7 +141,7 @@ def global_scan(scores, budget: int, excluded=()) -> list[int]:
         raise BudgetError(
             f"global budget {budget} exceeds {len(candidates)} available tokens"
         )
-    picked = top_k_indices(arr[candidates], budget)
+    picked = top_k_indices(arr[candidates], budget) if budget else []
     return sorted(candidates[i] for i in picked)
 
 
@@ -190,7 +187,8 @@ def _window_budgets(caps: list[int], budget: int) -> list[int]:
     """Uniform budgets with row-major remainder, surplus cascading forward.
 
     A window whose budget exceeds its token count passes the surplus to the
-    following windows in order, wrapping once past the end.
+    following windows in order, wrapping once past the end; with
+    ``budget <= sum(caps)``, which ``local_scan`` checks, it places it all.
     """
     w = len(caps)
     base, rem = divmod(budget, w)
@@ -206,8 +204,6 @@ def _window_budgets(caps: list[int], budget: int) -> list[int]:
         alloc[i] += extra
         surplus -= extra
         i += 1
-    if surplus > 0:
-        raise BudgetError(f"local budget {budget} exceeds {sum(caps)} window tokens")
     return alloc
 
 
@@ -356,8 +352,7 @@ def write_selection(selection: TokenSelection, out_dir) -> Path:
     """Write selection.json (+ merged_embeddings.vscn when merged)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "selection.json"
-    path.write_text(json.dumps(selection_report(selection), indent=2) + "\n")
+    path = write_json(out / "selection.json", selection_report(selection), sort_keys=False)
     if selection.merged_embeddings is not None:
         write_tensor(out / "merged_embeddings.vscn", selection.merged_embeddings)
     return path

@@ -1,4 +1,5 @@
-"""Trace containers, their on-disk format, and synthetic trace generators.
+"""Trace containers, their on-disk format, the JSON and CSV artifact
+writers, and synthetic trace generators.
 
 Binary tensor file layout (little-endian throughout):
 
@@ -17,7 +18,7 @@ scale. They are pure functions of their arguments: equal arguments produce
 byte-identical bundles.
 """
 
-import dataclasses
+import csv
 import json
 import math
 import os
@@ -169,32 +170,56 @@ def _read_stack(base: Path, names: list[str]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# text artifacts
+
+
+def write_json(path, obj, sort_keys: bool = True) -> Path:
+    """Write ``obj`` as 2-space-indented JSON (keys sorted unless
+    ``sort_keys`` is False) and a final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, sort_keys=sort_keys, indent=2) + "\n")
+    return path
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows to ``path``: a file path or an open text stream."""
+    if not hasattr(path, "write"):
+        with open(path, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
 # trace containers
 
 
-def _attention_sums(values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """An attention stack as a C-order float64 array, and its row sums.
+def _attention_stack(values, tail: tuple[int, ...], name: str, mismatch: str):
+    """An attention stack as a checked C-order float64 array.
 
-    The sums are the one scan of the entries: a finite IEEE sum has only
-    finite addends, so ``as_tensor`` rescans the stack only when some sum is
-    not finite, to raise its error for a NaN or Inf entry. Finite rows whose
-    sum overflows fail the row-sum check instead, as they always did.
+    Checks, in order: the rank, finiteness, the trailing dims against
+    ``tail`` (``mismatch`` is the error text, with a ``{}`` per dim), and
+    that every row sums to 1. The row sums are the one scan of the entries:
+    a finite IEEE sum has only finite addends, so ``as_tensor`` rescans the
+    stack only when some sum is not finite, to raise its error for a NaN or
+    Inf entry. Finite rows whose sum overflows fail the row-sum check.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr, ndim)
+    check_shape(arr, 2 + len(tail))
     with np.errstate(over="ignore"):  # an overflowed sum fails the row check
         sums = arr.sum(axis=-1)
     if not np.isfinite(sums).all():
         as_tensor(arr)
-    return arr, sums
-
-
-def _check_rows_normalized(sums: np.ndarray, name: str) -> None:
+    if arr.shape[2:] != tail:
+        raise TraceError(mismatch.format(*arr.shape[2:]))
     if not np.allclose(sums, 1.0, atol=ROW_SUM_TOL, rtol=0.0):
         worst = float(np.abs(sums - 1.0).max())
         raise TraceError(
             f"{name} rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3g}"
         )
+    return arr
 
 
 @dataclass
@@ -227,20 +252,16 @@ class EncoderTrace:
             raise TraceError("trace needs cls_attention or self_attention")
         stacks = set()
         if self.cls_attention is not None:
-            self.cls_attention, sums = _attention_sums(self.cls_attention, 3)
-            if self.cls_attention.shape[2] != n:
-                raise TraceError(
-                    f"cls_attention token dim {self.cls_attention.shape[2]} != {n}"
-                )
-            _check_rows_normalized(sums, "cls_attention")
+            self.cls_attention = _attention_stack(
+                self.cls_attention, (n,), "cls_attention",
+                f"cls_attention token dim {{}} != {n}",
+            )
             stacks.add(self.cls_attention.shape[:2])
         if self.self_attention is not None:
-            self.self_attention, sums = _attention_sums(self.self_attention, 4)
-            if self.self_attention.shape[2:] != (n, n):
-                raise TraceError(
-                    f"self_attention token dims {self.self_attention.shape[2:]} != ({n}, {n})"
-                )
-            _check_rows_normalized(sums, "self_attention")
+            self.self_attention = _attention_stack(
+                self.self_attention, (n, n), "self_attention",
+                f"self_attention token dims ({{}}, {{}}) != ({n}, {n})",
+            )
             stacks.add(self.self_attention.shape[:2])
         if len(stacks) > 1:
             raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
@@ -285,13 +306,10 @@ class DecoderTrace:
             raise TraceError(
                 "layout needs n_pre_text >= 0, n_visual >= 1, n_post_text >= 1"
             )
-        self.last_instr_attention, sums = _attention_sums(self.last_instr_attention, 3)
-        if self.last_instr_attention.shape[2] != self.seq_len:
-            raise TraceError(
-                f"attention seq dim {self.last_instr_attention.shape[2]} != "
-                f"layout total {self.seq_len}"
-            )
-        _check_rows_normalized(sums, "last_instr_attention")
+        self.last_instr_attention = _attention_stack(
+            self.last_instr_attention, (self.seq_len,), "last_instr_attention",
+            f"attention seq dim {{}} != layout total {self.seq_len}",
+        )
 
     @property
     def seq_len(self) -> int:
@@ -313,12 +331,6 @@ class DecoderTrace:
 
 # ---------------------------------------------------------------------------
 # bundles
-
-
-def _write_manifest(out_dir: Path, manifest: dict) -> Path:
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 def _manifest_path(path) -> Path:
@@ -414,7 +426,7 @@ def write_encoder_bundle(trace: EncoderTrace, out_dir) -> Path:
         "embed_dim": trace.embed_dim,
         "files": files,
     }
-    return _write_manifest(out, manifest)
+    return write_json(out / "manifest.json", manifest)
 
 
 def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
@@ -433,7 +445,7 @@ def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
         "n_post_text": trace.n_post_text,
         "files": {"last_instr_attention": names},
     }
-    return _write_manifest(out, manifest)
+    return write_json(out / "manifest.json", manifest)
 
 
 def read_encoder_bundle(path) -> EncoderTrace:

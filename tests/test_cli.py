@@ -111,6 +111,24 @@ class TestPipeline:
         profile = json.loads((out_dir / "profile.json").read_text())
         assert profile["retained"] == list(range(16))
 
+    def test_zero_global_budget_with_every_token_local(self, capsys, tmp_path):
+        assert main(["gen", "--kind", "encoder", "--seed", "5", "--grid", "4x4",
+                     "--layers", "3", "--heads", "1", "--embed-dim", "4",
+                     "--cls-only", "--out", str(tmp_path / "enc")]) == 0
+        assert main(["gen", "--kind", "decoder", "--seed", "6", "--layers", "4",
+                     "--heads", "1", "--visual", "16",
+                     "--out", str(tmp_path / "dec")]) == 0
+        code, out, err = run(
+            capsys, "pipeline",
+            "--encoder-trace", tmp_path / "enc", "--decoder-trace", tmp_path / "dec",
+            "--retention", "1.0", "--global-fraction", "0", "--local-layer", "1",
+            "--decoder-retention", "1.0", "--prune-layer", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--out", tmp_path / "run",
+        )
+        assert code == 0, err
+        assert "selected 16/16 tokens (0 global + 16 local)" in out
+
     def test_config_file_with_flag_override(self, capsys, small_world):
         cfg = {
             "encoder_trace": str(small_world / "enc"),

@@ -208,6 +208,20 @@ class TestSelectTokens:
         )
         assert all_global.local_indices == [] and len(all_global.global_indices) == 8
 
+    def test_zero_global_budget_with_every_token_local(self):
+        # the local scan takes all 16 tokens, leaving the global scan none
+        trace = random_encoder_trace(np.random.default_rng(6), 4, 4)
+        sel = select_tokens(trace, ScanConfig(retention=1.0, global_fraction=0.0,
+                                              local_layer=1))
+        assert sel.global_indices == []
+        assert sel.local_indices == sel.selected == list(range(16))
+
+    @pytest.mark.parametrize("field", ["window_rows", "window_cols"])
+    def test_window_field_named(self, field):
+        with pytest.raises(ConfigError) as exc:
+            ScanConfig(retention=0.5, **{field: 0})
+        assert exc.value.field == field
+
     def test_no_float_dust_in_third_splits(self):
         assert stage1_budgets(18, 1.0, 1 / 3) == (18, 6, 12)
 
