@@ -56,6 +56,7 @@ from .numerics import (
     softmax_rows,
     top_k_indices,
 )
+from .pipeline import run_pipeline
 from .trace_io import (
     DecoderTrace,
     EncoderTrace,

@@ -14,15 +14,14 @@ line.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import typing
 from pathlib import Path
 
-from . import analysis, cost_model, decoder_prune, encoder_scan, trace_io
-from .errors import ConfigError, VtReduceError
+from . import analysis, cost_model, encoder_scan, pipeline, trace_io
+from .errors import ConfigError, VtReduceError, os_error_as
 
 OUT_DIR_ENV = "VTREDUCE_OUT_DIR"
 
@@ -30,7 +29,7 @@ OUT_DIR_ENV = "VTREDUCE_OUT_DIR"
 # row gives the flag --key-with-dashes (out_dir is --out) and the type a
 # config-file value must have. ``T | None`` fields also take JSON null,
 # read as unset. Defaults live in ScanConfig, the preset and
-# _load_pipeline_config, not here.
+# pipeline.run_pipeline, not here.
 _PIPELINE_FIELDS = {
     "preset": (str | None, "model preset name"),
     "encoder_trace": (str, None),
@@ -84,15 +83,11 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError("grid", f"expected HxW, got {text!r}") from None
 
 
-def _resolve_out(flag_value, fallback=None):
-    if flag_value is not None:
-        return Path(flag_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if fallback is not None:
-        return Path(fallback)
-    raise ConfigError("out", "no output directory given")
+def _resolve_out(flag, fallback=None):
+    out = (os.environ.get(OUT_DIR_ENV) or fallback) if flag is None else flag
+    if out is None:
+        raise ConfigError("out", "no output directory given")
+    return Path(out)
 
 
 def _cmd_gen(args) -> int:
@@ -104,128 +99,47 @@ def _cmd_gen(args) -> int:
             n_heads=args.heads, embed_dim=args.embed_dim,
             locality_strength=args.locality, include_self_attention=not args.cls_only,
         )
-        manifest = trace_io.write_encoder_bundle(trace, out)
+        write = trace_io.write_encoder_bundle
     else:
         trace = trace_io.generate_synthetic_decoder(
             seed=args.seed, n_layers=args.layers, n_heads=args.heads,
             n_pre_text=args.pre_text, n_visual=args.visual, n_post_text=args.post_text,
             position_bias_strength=args.bias, visual_boost_strength=args.visual_boost,
         )
-        manifest = trace_io.write_decoder_bundle(trace, out)
+        write = trace_io.write_decoder_bundle
+    with os_error_as("out"):
+        manifest = write(trace, out)
     print(manifest)
     return 0
 
 
-def _preset(name: str) -> cost_model.ModelPreset:
-    if name not in cost_model.MODEL_PRESETS:
-        have = sorted(cost_model.MODEL_PRESETS)
-        raise ConfigError("preset", f"unknown preset {name!r}, have {have}")
-    return cost_model.MODEL_PRESETS[name]
-
-
 def _load_pipeline_config(args) -> dict:
-    cfg: dict = {}
+    """The config file's type-checked fields under the flags that are set."""
+    cfg = {}
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        for key, value in loaded.items():
+        for key, value in cfg.items():
             if key not in _PIPELINE_FIELDS:
                 raise ConfigError(key, "unknown config field")
             _check_type(key, value)
-        cfg.update(loaded)
-    flags = {key: getattr(args, key) for key in _PIPELINE_FIELDS}
-    cfg.update({k: v for k, v in flags.items() if v is not None})
-
-    if cfg.get("preset") is not None:
-        # the preset's dims, local_layer and prune_layer fill what cfg leaves unset
-        preset = dataclasses.asdict(_preset(cfg["preset"]))
-        cfg = {**preset.pop("dims"), **preset, **cfg}
-
-    for key in ("encoder_trace", "decoder_trace"):
-        if key not in cfg:
-            raise ConfigError(key, "required (config file or flag)")
-    for key in ("n_layers", "hidden_size", "ffn_size"):
-        if key not in cfg:
-            raise ConfigError(key, "required unless a preset supplies it")
-    if "retention" in cfg and "target_average" in cfg:
-        raise ConfigError(
-            "target_average", "give either retention or target_average, not both"
-        )
-    cfg.setdefault("decoder_retention", 0.333)
-    cfg.setdefault("prune_layer", max(1, cfg["n_layers"] // 2))
+    cfg.update({k: v for k in _PIPELINE_FIELDS if (v := getattr(args, k)) is not None})
+    cfg["out_dir"] = _resolve_out(args.out_dir, fallback=cfg.get("out_dir", "."))
     return cfg
 
 
 def _cmd_pipeline(args) -> int:
-    stage = "config"
     try:
         cfg = _load_pipeline_config(args)
-        dims = cost_model.ModelDims(
-            cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"]
-        )
-        prune_cfg = decoder_prune.PruneConfig(
-            cfg["prune_layer"], cfg["decoder_retention"], cfg["n_layers"]
-        )
-        retention = cfg.get("retention", 1.0)
-        if "target_average" in cfg:
-            retention = cost_model.solve_encoder_retention(
-                cfg["target_average"], cfg["decoder_retention"],
-                cfg["prune_layer"], cfg["n_layers"],
-            )
-        # every other ScanConfig field takes its default unless cfg sets it
-        scan_keys = {f.name for f in dataclasses.fields(encoder_scan.ScanConfig)}
-        scan_cfg = encoder_scan.ScanConfig(
-            retention=retention,
-            **{k: cfg[k] for k in scan_keys - {"retention"} if k in cfg},
-        )
-        out_dir = _resolve_out(args.out_dir, fallback=cfg.get("out_dir", "."))
-
-        stage = "load-traces"
-        encoder = trace_io.read_encoder_bundle(cfg["encoder_trace"])
-        decoder = trace_io.read_decoder_bundle(cfg["decoder_trace"])
-        if decoder.n_layers != dims.n_layers:
-            raise ConfigError(
-                "decoder_trace",
-                f"trace has {decoder.n_layers} layers, n_layers says {dims.n_layers}",
-            )
-
-        stage = "encoder-scan"
-        selection = encoder_scan.select_tokens(encoder, scan_cfg)
-
-        stage = "merge"
-        selection = encoder_scan.merge_tokens(encoder.embeddings, selection)
-        n_merged = len(selection.selected)
-        if decoder.n_visual != n_merged:
-            raise ConfigError(
-                "decoder_trace",
-                f"trace carries {decoder.n_visual} visual tokens but the scan "
-                f"kept {n_merged}; regenerate with --visual {n_merged}",
-            )
-
-        stage = "decoder-scores"
-        scores = decoder_prune.text_attention_scores(decoder, cfg["prune_layer"])
-
-        stage = "prune"
-        profile = decoder_prune.prune_at_layer(scores, prune_cfg, n_merged)
-
-        stage = "report"
-        n_text = cfg.get("n_text_total", decoder.n_pre_text + decoder.n_post_text)
-        report = cost_model.build_report(selection, profile, dims, n_text)
-
-        stage = "write"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        encoder_scan.write_selection(selection, out_dir)
-        trace_io.write_json(out_dir / "profile.json", dataclasses.asdict(profile))
-        cost_model.write_report_csv(report, out_dir / "cost_report.csv")
-        cost_model.write_report_summary(report, out_dir / "cost_summary.json")
-    except VtReduceError as exc:
-        print(f"pipeline failed at stage {stage!r}: {exc}", file=sys.stderr)
+        selection, profile, report, out_dir = pipeline.run_pipeline(cfg)
+    except VtReduceError as exc:  # no exc.stage: the CLI's own config checks
+        print(f"pipeline failed at stage {getattr(exc, 'stage', 'config')!r}: {exc}",
+              file=sys.stderr)
         return 1
-
     print(f"selected {len(selection.selected)}/{selection.n_tokens} tokens "
           f"({len(selection.global_indices)} global + "
           f"{len(selection.local_indices)} local), "
@@ -238,18 +152,14 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _dims_from_args(args) -> cost_model.ModelDims:
-    if args.preset is not None:
-        return _preset(args.preset).dims
-    if None in (args.n_layers, args.hidden_size, args.ffn_size):
+def _cmd_flops(args) -> int:
+    # flags > preset, as for pipeline
+    cfg = cost_model.fill_preset({k: v for k, v in vars(args).items() if v is not None})
+    if any(k not in cfg for k in ("n_layers", "hidden_size", "ffn_size")):
         raise ConfigError(
             "preset", "need --preset or all of --n-layers/--hidden-size/--ffn-size"
         )
-    return cost_model.ModelDims(args.n_layers, args.hidden_size, args.ffn_size)
-
-
-def _cmd_flops(args) -> int:
-    dims = _dims_from_args(args)
+    dims = cost_model.ModelDims(cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"])
     total = cost_model.flops_total([args.tokens] * dims.n_layers, dims)
     print(f"{total:.6e}")
     return 0
@@ -274,7 +184,8 @@ def _cmd_analyze(args) -> int:
             trace, args.layer, args.retention, grid_h, grid_w
         )
         write = analysis.write_bias_histogram_csv
-    write(result, sys.stdout if args.out is None else args.out)
+    with os_error_as("out"):
+        write(result, sys.stdout if args.out is None else args.out)
     if args.out is not None:
         print(args.out)
     return 0

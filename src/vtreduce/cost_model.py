@@ -15,7 +15,12 @@ comparable headline.
 import dataclasses
 from dataclasses import dataclass
 
-from .decoder_prune import LayerTokenProfile, check_prune_layer, kv_cache_entries
+from .decoder_prune import (
+    LayerTokenProfile,
+    check_decoder_retention,
+    check_prune_layer,
+    kv_cache_entries,
+)
 from .encoder_scan import TokenSelection
 from .errors import BudgetError, ConfigError
 from .trace_io import write_csv, write_json
@@ -23,6 +28,7 @@ from .trace_io import write_csv, write_json
 __all__ = [
     "ModelDims",
     "MODEL_PRESETS",
+    "fill_preset",
     "flops_total",
     "average_retention",
     "solve_encoder_retention",
@@ -42,8 +48,10 @@ class ModelDims:
     ffn_size: int
 
     def __post_init__(self):
-        if min(self.n_layers, self.hidden_size, self.ffn_size) < 1:
-            raise ConfigError("dims", f"all dims must be >= 1, got {self}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value < 1:
+                raise ConfigError(field.name, f"must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,19 @@ MODEL_PRESETS = {
         ModelDims(28, 3584, 18944), local_layer=8, prune_layer=14
     ),
 }
+
+
+def fill_preset(cfg: dict) -> dict:
+    """A copy of ``cfg``; when ``cfg["preset"]`` names a preset, its dims,
+    ``local_layer`` and ``prune_layer`` fill the keys ``cfg`` leaves unset."""
+    name = cfg.get("preset")
+    if name is None:
+        return dict(cfg)
+    if name not in MODEL_PRESETS:
+        have = sorted(MODEL_PRESETS)
+        raise ConfigError("preset", f"unknown preset {name!r}, have {have}")
+    preset = dataclasses.asdict(MODEL_PRESETS[name])
+    return {**preset.pop("dims"), **preset, **cfg}
 
 
 def flops_total(tokens_per_layer, dims: ModelDims) -> float:
@@ -94,6 +115,7 @@ def average_retention(
     the remaining layers at its product with the decoder-stage retention.
     """
     check_prune_layer(prune_layer, n_layers)
+    check_decoder_retention(decoder_retention)
     full = prune_layer
     pruned = n_layers - prune_layer
     return encoder_retention * (full + pruned * decoder_retention) / n_layers

@@ -34,6 +34,11 @@ def check_prune_layer(prune_layer: int, n_layers: int) -> None:
         )
 
 
+def check_decoder_retention(retention: float) -> None:
+    if not 0.0 <= retention <= 1.0:
+        raise ConfigError("decoder_retention", f"must be in [0, 1], got {retention}")
+
+
 @dataclass(frozen=True)
 class PruneConfig:
     """``prune_layer`` is 1-based; ``retention`` is the kept fraction of
@@ -47,8 +52,7 @@ class PruneConfig:
         if self.n_layers < 1:
             raise ConfigError("n_layers", f"must be >= 1, got {self.n_layers}")
         check_prune_layer(self.prune_layer, self.n_layers)
-        if not 0.0 <= self.retention <= 1.0:
-            raise ConfigError("retention", f"must be in [0, 1], got {self.retention}")
+        check_decoder_retention(self.retention)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the token reduction pipeline."""
 
+import contextlib
+
 
 class VtReduceError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -45,3 +47,12 @@ class ConfigError(VtReduceError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+@contextlib.contextmanager
+def os_error_as(field: str):
+    """Re-raise an ``OSError`` from the block as a ConfigError of ``field``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(field, str(exc)) from exc

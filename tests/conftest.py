@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from vtreduce import DecoderTrace, EncoderTrace
+from vtreduce.cli import main
 
 
 def softmax(x, axis=-1):
@@ -60,3 +62,15 @@ def near_mass(trace, layer):
     near = np.maximum(dr, dc) <= 1
     attn = trace.self_attention[layer - 1]
     return float((attn * near[None, :, :]).sum(axis=2).mean())
+
+
+@pytest.fixture
+def small_world(tmp_path):
+    """6x6 encoder trace and a matching 18-visual-token decoder trace."""
+    assert main(["gen", "--kind", "encoder", "--seed", "3", "--grid", "6x6",
+                 "--layers", "4", "--heads", "2", "--embed-dim", "8",
+                 "--cls-only", "--out", str(tmp_path / "enc")]) == 0
+    assert main(["gen", "--kind", "decoder", "--seed", "4", "--layers", "4",
+                 "--heads", "2", "--pre-text", "3", "--visual", "18",
+                 "--post-text", "5", "--out", str(tmp_path / "dec")]) == 0
+    return tmp_path

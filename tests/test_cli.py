@@ -1,11 +1,12 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
 from conftest import uniform_decoder_trace
-from vtreduce import write_decoder_bundle
+from vtreduce import cost_model, write_decoder_bundle
 from vtreduce.cli import main
 
 
@@ -52,17 +53,12 @@ class TestGen:
         assert code == 1
         assert "grid" in err
 
-
-@pytest.fixture
-def small_world(tmp_path):
-    """6x6 encoder trace and a matching 18-visual-token decoder trace."""
-    assert main(["gen", "--kind", "encoder", "--seed", "3", "--grid", "6x6",
-                 "--layers", "4", "--heads", "2", "--embed-dim", "8",
-                 "--cls-only", "--out", str(tmp_path / "enc")]) == 0
-    assert main(["gen", "--kind", "decoder", "--seed", "4", "--layers", "4",
-                 "--heads", "2", "--pre-text", "3", "--visual", "18",
-                 "--post-text", "5", "--out", str(tmp_path / "dec")]) == 0
-    return tmp_path
+    def test_out_is_a_file(self, capsys, tmp_path):
+        (tmp_path / "taken").write_text("x")
+        code, _, err = run(capsys, "gen", "--kind", "decoder", "--seed", "1",
+                           "--out", tmp_path / "taken")
+        assert code == 1
+        assert err.startswith("error[gen]: out: ") and "Traceback" not in err
 
 
 class TestPipeline:
@@ -296,6 +292,66 @@ class TestPipeline:
         assert run(capsys, *argv, "--out", small_world / "r2")[0] == 0
         assert bundle_bytes(small_world / "r1") == bundle_bytes(small_world / "r2")
 
+    @pytest.mark.parametrize("reused", [False, True])
+    @pytest.mark.parametrize("fail_at", ["write_report_csv", "third os.replace"])
+    def test_failed_write_leaves_whole_artifacts(
+        self, capsys, small_world, monkeypatch, reused, fail_at
+    ):
+        argv = ["pipeline", "--encoder-trace", small_world / "enc",
+                "--decoder-trace", small_world / "dec", "--retention", "0.5",
+                "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+                "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64"]
+        assert run(capsys, *argv, "--out", small_world / "good")[0] == 0
+        good = bundle_bytes(small_world / "good")
+        out_dir = small_world / "run"
+        if reused:
+            shutil.copytree(small_world / "good", out_dir)
+        if fail_at == "write_report_csv":
+            def fail(*args):
+                raise OSError("disk full")
+            monkeypatch.setattr(cost_model, "write_report_csv", fail)
+        else:
+            calls, real_replace = [], os.replace
+
+            def fail(src, dst):
+                calls.append(dst)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+                real_replace(src, dst)
+            monkeypatch.setattr(os, "replace", fail)
+        code, out, err = run(capsys, *argv, "--out", out_dir)
+        assert code == 1 and out == ""
+        assert err == "pipeline failed at stage 'write': out_dir: disk full\n"
+        left = bundle_bytes(out_dir)
+        assert left == {k: good[k] for k in left}
+        assert len(left) == (5 if reused else 0 if fail_at == "write_report_csv" else 2)
+        assert [p.name for p in out_dir.iterdir() if p.is_dir()] == []
+
+    def test_out_is_a_file(self, capsys, small_world):
+        (small_world / "taken").write_text("x")
+        code, _, err = run(
+            capsys, "pipeline", "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec", "--retention", "0.5",
+            "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--out", small_world / "taken",
+        )
+        assert code == 1
+        assert err.startswith("pipeline failed at stage 'write': out_dir: ")
+        assert "Traceback" not in err
+
+    def test_decoder_retention_named(self, capsys, small_world):
+        code, _, err = run(
+            capsys, "pipeline", "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec", "--retention", "0.5",
+            "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--decoder-retention", "1.5", "--out", small_world / "run",
+        )
+        assert code == 1
+        assert err == ("pipeline failed at stage 'config': "
+                       "decoder_retention: must be in [0, 1], got 1.5\n")
+
 
 class TestFlopsAndBudget:
     def test_flops_preset(self, capsys):
@@ -309,6 +365,21 @@ class TestFlopsAndBudget:
         assert code == 0
         # 2 * (4*3*16 + 2*9*4 + 3*3*4*8) = 2 * (192 + 72 + 288)
         assert float(out.strip()) == pytest.approx(1104.0)
+
+    def test_flops_flags_override_preset(self, capsys):
+        code_a, out_a, _ = run(capsys, "flops", "--preset", "llava15",
+                               "--n-layers", "10", "--tokens", "576")
+        code_b, out_b, _ = run(capsys, "flops", "--n-layers", "10", "--hidden-size",
+                               "4096", "--ffn-size", "11008", "--tokens", "576")
+        assert code_a == code_b == 0
+        assert out_a == out_b != run(capsys, "flops", "--preset", "llava15",
+                                     "--tokens", "576")[1]
+
+    def test_flops_zero_dim_named(self, capsys):
+        code, _, err = run(capsys, "flops", "--n-layers", "2", "--hidden-size", "4",
+                           "--ffn-size", "0", "--tokens", "3")
+        assert code == 1
+        assert err == "error[flops]: ffn_size: must be >= 1, got 0\n"
 
     def test_flops_unknown_preset(self, capsys):
         code, _, err = run(capsys, "flops", "--preset", "nope", "--tokens", "1")
@@ -344,6 +415,15 @@ class TestFlopsAndBudget:
         assert code == 1
         assert out == ""
         assert "prune_layer" in err
+
+    @pytest.mark.parametrize("value", ["5", "-0.5"])
+    def test_budget_decoder_retention_out_of_range_named(self, capsys, value):
+        code, out, err = run(capsys, "budget", "--target", "0.1",
+                             "--decoder-retention", value,
+                             "--prune-layer", "16", "--n-layers", "32")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[budget]: decoder_retention: must be in [0, 1]")
 
 
 class TestAnalyze:
@@ -396,6 +476,15 @@ class TestAnalyze:
         assert code == 1
         assert "files" in err
         assert "Traceback" not in err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        write_decoder_bundle(uniform_decoder_trace(2, 1, 1, 4, 1), tmp_path / "dec")
+        code, out, err = run(capsys, "analyze", "attention-sum",
+                             "--trace", tmp_path / "dec",
+                             "--out", tmp_path / "missing" / "sums.csv")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[analyze]: out: ") and "Traceback" not in err
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -1,0 +1,74 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
+from vtreduce import ConfigError, FormatError, run_pipeline
+from vtreduce.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def small_cfg(world, **overrides):
+    cfg = {"encoder_trace": str(world / "enc"), "decoder_trace": str(world / "dec"),
+           "retention": 0.5, "local_layer": 1, "window_rows": 2, "window_cols": 2,
+           "decoder_retention": 0.5, "prune_layer": 2, "n_layers": 4,
+           "hidden_size": 32, "ffn_size": 64, "out_dir": str(world / "run")}
+    return {**cfg, **overrides}
+
+
+def artifact_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+
+
+def test_library_run_matches_cli(capsys, small_world):
+    cfg = small_cfg(small_world)
+    given = dict(cfg)
+    selection, profile, report, out_dir = run_pipeline(cfg)
+    assert cfg == given  # the caller's dict is not changed
+    assert out_dir == small_world / "run"
+    assert (len(selection.selected), len(profile.retained)) == (18, 9)
+    assert report.n_visual_original == 36
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items() if k != "out_dir"]
+    assert main(["pipeline", *flags, "--out", str(small_world / "cli")]) == 0
+    assert artifact_bytes(out_dir) == artifact_bytes(small_world / "cli")
+
+
+@pytest.mark.parametrize("stage, overrides, error", [
+    ("config", {"preset": "nope"}, ConfigError),
+    ("config", {"decoder_trace": None}, ConfigError),
+    ("load-traces", {"encoder_trace": "missing"}, FormatError),
+    ("merge", {"retention": 0.25}, ConfigError),
+    ("write", {"out_dir": "taken"}, ConfigError),
+])
+def test_errors_name_their_stage(small_world, monkeypatch, stage, overrides, error):
+    monkeypatch.chdir(small_world)
+    (small_world / "taken").write_text("x")
+    cfg = {k: v for k, v in small_cfg(small_world, **overrides).items()
+           if v is not None}
+    with pytest.raises(error) as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == stage
+
+
+def test_benchmark_tracer_sees_every_stage(small_world, monkeypatch):
+    # perfbench records spans by rebinding module attributes, so every stage
+    # function must be called through its module at call time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in small_cfg(small_world).items()
+             if k != "out_dir"]
+    tracer.install(0)
+    try:
+        assert main(["pipeline", *flags, "--out", str(small_world / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert {
+        "trace_io.read_encoder_bundle", "trace_io.read_decoder_bundle",
+        "encoder_scan.select_tokens", "encoder_scan.merge_tokens",
+        "encoder_scan.write_selection", "decoder_prune.text_attention_scores",
+        "decoder_prune.prune_at_layer", "cost_model.build_report",
+        "cost_model.write_report",
+    } <= recorded
