@@ -74,21 +74,12 @@ class LayerTokenProfile:
         return len(self.counts)
 
 
-def text_attention_scores(
-    trace: DecoderTrace, layer: int, visual_span: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Head-averaged last-instruction attention over the visual span.
-
-    ``layer`` is 1-based. ``visual_span`` is a half-open [start, stop)
-    position range, defaulting to the trace's own visual block.
-    """
+def text_attention_scores(trace: DecoderTrace, layer: int) -> np.ndarray:
+    """Head-averaged last-instruction attention over the trace's visual
+    block; ``layer`` is 1-based."""
     if not 1 <= layer <= trace.n_layers:
         raise LayoutError(f"layer {layer} outside [1, {trace.n_layers}]")
-    start, stop = visual_span if visual_span is not None else trace.visual_span
-    if not 0 <= start < stop <= trace.seq_len:
-        raise LayoutError(
-            f"visual span [{start}, {stop}) outside sequence of {trace.seq_len}"
-        )
+    start, stop = trace.visual_span
     return trace.last_instr_attention[layer - 1, :, start:stop].mean(axis=0)
 
 

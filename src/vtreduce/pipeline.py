@@ -31,8 +31,10 @@ def run_pipeline(cfg: dict):
     whose values the caller has type-checked; ``cfg`` itself is not changed.
 
     Returns ``(selection, profile, report, out_dir)``. Each artifact is
-    written into a temp directory inside ``out_dir`` and then moved into
-    place, so an artifact in ``out_dir`` is either absent or complete.
+    written into a temp directory inside ``out_dir``; then every earlier
+    copy is removed before any is moved into place. So an artifact in
+    ``out_dir`` is either absent or complete, and never sits beside one
+    of an earlier run.
     """
     with _stage("config"):
         cfg = cost_model.fill_preset(cfg)
@@ -106,6 +108,9 @@ def run_pipeline(cfg: dict):
             trace_io.write_json(staging / "profile.json", dataclasses.asdict(profile))
             cost_model.write_report_csv(report, staging / "cost_report.csv")
             cost_model.write_report_summary(report, staging / "cost_summary.json")
-            for name in sorted(os.listdir(staging)):
+            names = sorted(os.listdir(staging))
+            for name in names:
+                (out_dir / name).unlink(missing_ok=True)
+            for name in names:
                 os.replace(staging / name, out_dir / name)
     return selection, profile, report, out_dir

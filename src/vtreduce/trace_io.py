@@ -23,7 +23,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -271,14 +271,17 @@ class EncoderTrace:
         return self.grid_h * self.grid_w
 
     @property
+    def _attention(self) -> np.ndarray:
+        """Whichever attention stack is present; both agree on layers and heads."""
+        return self.cls_attention if self.cls_attention is not None else self.self_attention
+
+    @property
     def n_layers(self) -> int:
-        stack = self.cls_attention if self.cls_attention is not None else self.self_attention
-        return stack.shape[0]
+        return self._attention.shape[0]
 
     @property
     def n_heads(self) -> int:
-        stack = self.cls_attention if self.cls_attention is not None else self.self_attention
-        return stack.shape[1]
+        return self._attention.shape[1]
 
     @property
     def embed_dim(self) -> int:
@@ -331,17 +334,25 @@ class DecoderTrace:
 
 # ---------------------------------------------------------------------------
 # bundles
+#
+# The schema of a bundle is its trace dataclass, field by field in
+# declaration order: an int field is a manifest key; a per-layer stack field
+# is a list of ``<stem>_NN.vscn`` files, one per layer, or null when it is
+# None; any other array field is the one file ``<field>.vscn``. The counts
+# of a kind are manifest keys too, checked against the files on read.
 
-
-def _manifest_path(path) -> Path:
-    p = Path(path)
-    return p if p.is_file() else p / "manifest.json"
-
-
-_MANIFEST_INTS = (
-    "grid_h", "grid_w", "n_layers", "n_heads", "embed_dim",
-    "n_pre_text", "n_visual", "n_post_text",
-)
+_STACK_STEMS = {"cls_attention": "cls", "self_attention": "self",
+                "last_instr_attention": "layer"}
+# kind -> (trace class, counts)
+_KINDS = {"encoder": (EncoderTrace, ("n_layers", "n_heads", "embed_dim")),
+          "decoder": (DecoderTrace, ("n_layers", "n_heads"))}
+# the manifest is checked before its kind is: these hold for every kind
+_MANIFEST_INTS = tuple(dict.fromkeys(
+    key for cls, counts in _KINDS.values()
+    for key in [*(f.name for f in fields(cls) if f.type is int), *counts]
+))
+_ONE_FILE_KEYS = {f.name for cls, _ in _KINDS.values() for f in fields(cls)
+                  if f.type is not int and f.name not in _STACK_STEMS}
 
 
 def _is_int(value) -> bool:
@@ -355,11 +366,15 @@ def _is_bare_name(name) -> bool:
 
 
 def _load_manifest(path) -> tuple[dict, Path]:
-    p = _manifest_path(path)
+    p = Path(path)
+    if not p.is_file():
+        p = p / "manifest.json"
     if not p.exists():
         raise FormatError(f"no manifest at {p}")
     try:
         manifest = json.loads(p.read_text())
+    except OSError as exc:
+        raise FormatError(f"cannot read manifest: {exc}") from exc
     # ValueError also covers bad UTF-8 and integers past Python's digit limit
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
@@ -379,9 +394,8 @@ def _load_manifest(path) -> tuple[dict, Path]:
         value = manifest.get(key, 0)  # a missing key is reported where it is read
         if not _is_int(value):
             raise FormatError(f"manifest {key!r} must be an integer, got {value!r}")
-    # "embeddings" names one file; every other entry is null or a list of them
     for key, entry in manifest["files"].items():
-        names = [entry] if key == "embeddings" else [] if entry is None else entry
+        names = [entry] if key in _ONE_FILE_KEYS else [] if entry is None else entry
         if not isinstance(names, list) or not all(map(_is_bare_name, names)):
             raise FormatError(
                 f"manifest files entry {key!r} must name files inside the bundle, "
@@ -390,9 +404,49 @@ def _load_manifest(path) -> tuple[dict, Path]:
     return manifest, p.parent
 
 
-def _check_counts(manifest: dict, trace, keys: tuple[str, ...]):
-    """Return ``trace`` when each of ``keys`` that the manifest has matches it."""
-    for key in (k for k in keys if k in manifest):
+def _write_bundle(trace, out_dir, kind: str) -> Path:
+    cls, counts = _KINDS[kind]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {"version": FORMAT_VERSION, "kind": kind, "files": {}}
+    for f in fields(cls):
+        value = getattr(trace, f.name)
+        if f.type is int:
+            manifest[f.name] = value
+        elif f.name not in _STACK_STEMS:
+            manifest["files"][f.name] = name = f"{f.name}.vscn"
+            write_tensor(out / name, value)
+        elif value is None:
+            manifest["files"][f.name] = None
+        else:
+            names = [f"{_STACK_STEMS[f.name]}_{i:02d}.vscn" for i in range(len(value))]
+            for name, layer in zip(names, value):
+                write_tensor(out / name, layer)
+            manifest["files"][f.name] = names
+    manifest.update((key, getattr(trace, key)) for key in counts)
+    return write_json(out / "manifest.json", manifest)
+
+
+def _read_bundle(path, kind: str):
+    cls, counts = _KINDS[kind]
+    manifest, base = _load_manifest(path)
+    if manifest["kind"] != kind:
+        article = "an" if kind == "encoder" else "a"
+        raise FormatError(f"expected {article} {kind} bundle, got kind {manifest['kind']!r}")
+    files, values = manifest["files"], {}
+    try:
+        # read unchecked: the trace checks every value, once
+        for f in fields(cls):
+            if f.type is int:
+                values[f.name] = manifest[f.name]
+            elif f.name not in _STACK_STEMS:
+                values[f.name] = _read_stack(base, [files[f.name]])[0]
+            elif f.default is MISSING or files.get(f.name):  # else the default, None
+                values[f.name] = _read_stack(base, files[f.name])
+        trace = cls(**values)
+    except KeyError as exc:
+        raise FormatError(f"manifest missing key {exc}") from exc
+    for key in (k for k in counts if k in manifest):
         if manifest[key] != getattr(trace, key):
             raise FormatError(f"manifest {key!r} is {manifest[key]}, but the "
                               f"files hold {getattr(trace, key)}")
@@ -401,90 +455,20 @@ def _check_counts(manifest: dict, trace, keys: tuple[str, ...]):
 
 def write_encoder_bundle(trace: EncoderTrace, out_dir) -> Path:
     """Write an encoder trace bundle; returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict = {"embeddings": "embeddings.vscn"}
-    write_tensor(out / "embeddings.vscn", trace.embeddings)
-    for key, stack, stem in (
-        ("cls_attention", trace.cls_attention, "cls"),
-        ("self_attention", trace.self_attention, "self"),
-    ):
-        if stack is None:
-            files[key] = None
-            continue
-        names = [f"{stem}_{i:02d}.vscn" for i in range(stack.shape[0])]
-        for name, layer in zip(names, stack):
-            write_tensor(out / name, layer)
-        files[key] = names
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "encoder",
-        "grid_h": trace.grid_h,
-        "grid_w": trace.grid_w,
-        "n_layers": trace.n_layers,
-        "n_heads": trace.n_heads,
-        "embed_dim": trace.embed_dim,
-        "files": files,
-    }
-    return write_json(out / "manifest.json", manifest)
+    return _write_bundle(trace, out_dir, "encoder")
 
 
 def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = [f"layer_{i:02d}.vscn" for i in range(trace.n_layers)]
-    for name, layer in zip(names, trace.last_instr_attention):
-        write_tensor(out / name, layer)
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "decoder",
-        "n_layers": trace.n_layers,
-        "n_heads": trace.n_heads,
-        "n_pre_text": trace.n_pre_text,
-        "n_visual": trace.n_visual,
-        "n_post_text": trace.n_post_text,
-        "files": {"last_instr_attention": names},
-    }
-    return write_json(out / "manifest.json", manifest)
+    """Write a decoder trace bundle; returns the manifest path."""
+    return _write_bundle(trace, out_dir, "decoder")
 
 
 def read_encoder_bundle(path) -> EncoderTrace:
-    manifest, base = _load_manifest(path)
-    if manifest["kind"] != "encoder":
-        raise FormatError(f"expected an encoder bundle, got kind {manifest['kind']!r}")
-    files = manifest["files"]
-    cls_names = files.get("cls_attention")
-    self_names = files.get("self_attention")
-    try:
-        trace = EncoderTrace(
-            grid_h=manifest["grid_h"],
-            grid_w=manifest["grid_w"],
-            # read unchecked: EncoderTrace checks every value, once
-            embeddings=_read_stack(base, [files["embeddings"]])[0],
-            cls_attention=_read_stack(base, cls_names) if cls_names else None,
-            self_attention=_read_stack(base, self_names) if self_names else None,
-        )
-    except KeyError as exc:
-        raise FormatError(f"manifest missing key {exc}") from exc
-    return _check_counts(manifest, trace, ("n_layers", "n_heads", "embed_dim"))
+    return _read_bundle(path, "encoder")
 
 
 def read_decoder_bundle(path) -> DecoderTrace:
-    manifest, base = _load_manifest(path)
-    if manifest["kind"] != "decoder":
-        raise FormatError(f"expected a decoder bundle, got kind {manifest['kind']!r}")
-    try:
-        trace = DecoderTrace(
-            n_pre_text=manifest["n_pre_text"],
-            n_visual=manifest["n_visual"],
-            n_post_text=manifest["n_post_text"],
-            last_instr_attention=_read_stack(
-                base, manifest["files"]["last_instr_attention"]
-            ),
-        )
-    except KeyError as exc:
-        raise FormatError(f"manifest missing key {exc}") from exc
-    return _check_counts(manifest, trace, ("n_layers", "n_heads"))
+    return _read_bundle(path, "decoder")
 
 
 # ---------------------------------------------------------------------------

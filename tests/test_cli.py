@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -41,6 +42,39 @@ class TestGen:
         assert code == 0
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert len(manifest["files"]["last_instr_attention"]) == 8
+
+    @pytest.mark.parametrize("flags, digests", [
+        (["--kind", "encoder", "--seed", "7", "--grid", "2x3", "--layers", "2",
+          "--heads", "2", "--embed-dim", "4", "--locality", "1.5"], {
+            "cls_00.vscn": "7990aadf1c021e00cbc4b7734f05b0000d7ece5f5462a6d96b5a132290abf218",
+            "cls_01.vscn": "4ad3de4a977749c4ab92f4092ae6633929484ca9db9379e33adebec1ef1d2648",
+            "embeddings.vscn": "99fc4b16722f12b01852befcdfe84260d1df7d4d1cdf070622a3bcf3a58c44d6",
+            "manifest.json": "f605c0282d5f49efc7c8f070642e8c0b3078fefb83d4961684162db718d73123",
+            "self_00.vscn": "b07fa0384e3ab3053f7287abecf2073d86b6a5a555c8194652738de01a4aca5a",
+            "self_01.vscn": "c5956254d48df59549b6504d9a0eeeae899ebf7cc384983563ff5c99017a42fb",
+        }),
+        (["--kind", "encoder", "--seed", "8", "--grid", "3x2", "--layers", "2",
+          "--heads", "1", "--embed-dim", "3", "--cls-only"], {
+            "cls_00.vscn": "c5b65c8518ef0c062e43efc3323511f4ca711bb7f08aec8dd7ba4a302f5e51ca",
+            "cls_01.vscn": "de6efcbc777ea56911e3055c04c513a9c193244e0d1481a0280cb01a677a1669",
+            "embeddings.vscn": "6546c8f8cf6c99b088a47deb6b050bd6d5fa14573e87f1ccfefea5de61449ba5",
+            "manifest.json": "a0923fe5c656e48a5aea84b2ddb4d0326206303bc9e42020d15df90a0b9b2429",
+        }),
+        (["--kind", "decoder", "--seed", "9", "--layers", "3", "--heads", "2",
+          "--pre-text", "2", "--visual", "6", "--post-text", "3", "--bias", "2",
+          "--visual-boost", "1"], {
+            "layer_00.vscn": "8801b446b677dc9eae1a47777160959cee6b87931e4aeb8d23679e07e4de4f24",
+            "layer_01.vscn": "f249ee6ffe9dd87e96a543d5f0529e085c105d266e772e460763de73679c2368",
+            "layer_02.vscn": "c9e6f1491c442aaf8bae8cdffc52ff3a3660b11835943695eae225ee12743fb9",
+            "manifest.json": "879bfef33a4bc84a3c7c696d5dd2f6f952caca9815cc93917c321089e5d48cc3",
+        }),
+    ], ids=["encoder", "encoder-cls-only", "decoder"])
+    def test_bundle_bytes_pinned(self, capsys, tmp_path, flags, digests):
+        # the bundle format is a contract: these bytes must never change
+        assert run(capsys, "gen", *flags, "--out", tmp_path / "b")[0] == 0
+        got = {name: hashlib.sha256(blob).hexdigest()
+               for name, blob in bundle_bytes(tmp_path / "b").items()}
+        assert got == digests
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -324,7 +358,7 @@ class TestPipeline:
         assert err == "pipeline failed at stage 'write': out_dir: disk full\n"
         left = bundle_bytes(out_dir)
         assert left == {k: good[k] for k in left}
-        assert len(left) == (5 if reused else 0 if fail_at == "write_report_csv" else 2)
+        assert len(left) == (2 if fail_at == "third os.replace" else 5 if reused else 0)
         assert [p.name for p in out_dir.iterdir() if p.is_dir()] == []
 
     def test_out_is_a_file(self, capsys, small_world):
@@ -475,6 +509,13 @@ class TestAnalyze:
                            "--trace", tmp_path / "dec")
         assert code == 1
         assert "files" in err
+        assert "Traceback" not in err
+
+    def test_unreadable_manifest(self, capsys, tmp_path):
+        (tmp_path / "dec" / "manifest.json").mkdir(parents=True)
+        code, out, err = run(capsys, "analyze", "attention-sum", "--trace", tmp_path / "dec")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[analyze]: cannot read manifest: ")
         assert "Traceback" not in err
 
     def test_out_in_missing_directory(self, capsys, tmp_path):

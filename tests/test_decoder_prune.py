@@ -41,12 +41,8 @@ class TestTextAttentionScores:
         trace = DecoderTrace(1, 2, 1, attn)
         assert np.allclose(text_attention_scores(trace, 1), [0.5, 0.5])
 
-    def test_explicit_span_and_bounds(self):
+    def test_layer_out_of_range(self):
         trace = uniform_decoder_trace(2, 1, 3, 4, 3)
-        got = text_attention_scores(trace, 2, visual_span=(0, 3))
-        assert got.shape == (3,)
-        with pytest.raises(LayoutError):
-            text_attention_scores(trace, 1, visual_span=(8, 11))
         with pytest.raises(LayoutError):
             text_attention_scores(trace, 3)
 

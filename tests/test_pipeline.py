@@ -1,4 +1,5 @@
 import importlib
+import os
 from pathlib import Path
 
 import pytest
@@ -40,10 +41,12 @@ def test_library_run_matches_cli(capsys, small_world):
     ("load-traces", {"encoder_trace": "missing"}, FormatError),
     ("merge", {"retention": 0.25}, ConfigError),
     ("write", {"out_dir": "taken"}, ConfigError),
+    ("load-traces", {"decoder_trace": "unreadable"}, FormatError),
 ])
 def test_errors_name_their_stage(small_world, monkeypatch, stage, overrides, error):
     monkeypatch.chdir(small_world)
     (small_world / "taken").write_text("x")
+    (small_world / "unreadable" / "manifest.json").mkdir(parents=True)
     cfg = {k: v for k, v in small_cfg(small_world, **overrides).items()
            if v is not None}
     with pytest.raises(error) as exc:
@@ -59,16 +62,54 @@ def test_benchmark_tracer_sees_every_stage(small_world, monkeypatch):
     tracer = spans.Tracer()
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in small_cfg(small_world).items()
              if k != "out_dir"]
-    tracer.install(0)
+    gen = ["gen", "--seed", "5", "--layers", "2", "--heads", "1", "--grid", "2x2",
+           "--visual", "4"]
+    chains = [  # (commands run in turn, spans they must record)
+        ([["pipeline", *flags, "--out", str(small_world / "traced")]], {
+            "trace_io.read_encoder_bundle", "trace_io.read_decoder_bundle",
+            "encoder_scan.select_tokens", "encoder_scan.merge_tokens",
+            "encoder_scan.write_selection", "decoder_prune.text_attention_scores",
+            "decoder_prune.prune_at_layer", "cost_model.build_report",
+            "cost_model.write_report",
+        }),
+        ([[*gen, "--kind", "encoder", "--out", str(small_world / "gen-enc")],
+          [*gen, "--kind", "decoder", "--out", str(small_world / "gen-dec")],
+          ["analyze", "attention-sum", "--trace", str(small_world / "gen-dec"),
+           "--out", str(small_world / "sums.csv")]], {
+            "trace_io.write_encoder_bundle", "trace_io.write_decoder_bundle",
+            "trace_io.read_decoder_bundle", "analysis.write_csv",
+        }),
+    ]
     try:
-        assert main(["pipeline", *flags, "--out", str(small_world / "traced")]) == 0
+        for op, (commands, _) in enumerate(chains):
+            tracer.install(op)
+            for argv in commands:
+                assert main(argv) == 0
     finally:
         tracer.uninstall()
-    recorded = {span[0] for span in tracer.spans}
-    assert {
-        "trace_io.read_encoder_bundle", "trace_io.read_decoder_bundle",
-        "encoder_scan.select_tokens", "encoder_scan.merge_tokens",
-        "encoder_scan.write_selection", "decoder_prune.text_attention_scores",
-        "decoder_prune.prune_at_layer", "cost_model.build_report",
-        "cost_model.write_report",
-    } <= recorded
+    for op, (_, expected) in enumerate(chains):
+        assert expected <= {span[0] for span in tracer.spans if span[4] == op}
+
+
+def test_failed_write_leaves_no_file_of_an_earlier_run(small_world, monkeypatch):
+    # the earlier run in "run" kept 18 visual tokens; this config keeps 9
+    assert main(["gen", "--kind", "decoder", "--seed", "4", "--layers", "4",
+                 "--heads", "2", "--pre-text", "3", "--visual", "9",
+                 "--post-text", "5", "--out", str(small_world / "dec9")]) == 0
+    cfg = small_cfg(small_world, retention=0.25, decoder_trace=str(small_world / "dec9"))
+    run_pipeline(small_cfg(small_world))
+    run_pipeline({**cfg, "out_dir": str(small_world / "good")})
+    good = artifact_bytes(small_world / "good")
+    calls, real_replace = [], os.replace
+
+    def fail(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(ConfigError, match="out_dir: disk full") as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == "write"
+    left = artifact_bytes(small_world / "run")
+    assert len(left) == 2 and left == {k: good[k] for k in left}
