@@ -351,7 +351,6 @@ def selection_report(selection: TokenSelection) -> dict:
 def write_selection(selection: TokenSelection, out_dir) -> Path:
     """Write selection.json (+ merged_embeddings.vscn when merged)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = write_json(out / "selection.json", selection_report(selection), sort_keys=False)
     if selection.merged_embeddings is not None:
         write_tensor(out / "merged_embeddings.vscn", selection.merged_embeddings)

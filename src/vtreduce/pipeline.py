@@ -5,8 +5,6 @@ the name of the stage that raised it in ``exc.stage``."""
 
 import contextlib
 import dataclasses
-import os
-import tempfile
 from pathlib import Path
 
 from . import cost_model, decoder_prune, encoder_scan, trace_io
@@ -30,11 +28,9 @@ def run_pipeline(cfg: dict):
     """Run every stage on ``cfg``, a dict keyed like a pipeline config file
     whose values the caller has type-checked; ``cfg`` itself is not changed.
 
-    Returns ``(selection, profile, report, out_dir)``. Each artifact is
-    written into a temp directory inside ``out_dir``; then every earlier
-    copy is removed before any is moved into place. So an artifact in
-    ``out_dir`` is either absent or complete, and never sits beside one
-    of an earlier run.
+    Returns ``(selection, profile, report, out_dir)``. The artifacts are
+    written by ``trace_io.publish``: so an artifact in ``out_dir`` is either
+    absent or complete, and never sits beside one of an earlier run.
     """
     with _stage("config"):
         cfg = cost_model.fill_preset(cfg)
@@ -100,17 +96,9 @@ def run_pipeline(cfg: dict):
         n_text = cfg.get("n_text_total", decoder.n_pre_text + decoder.n_post_text)
         report = cost_model.build_report(selection, profile, dims, n_text)
 
-    with _stage("write"), os_error_as("out_dir"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=".write-", dir=out_dir) as tmp:
-            staging = Path(tmp)
-            encoder_scan.write_selection(selection, staging)
-            trace_io.write_json(staging / "profile.json", dataclasses.asdict(profile))
-            cost_model.write_report_csv(report, staging / "cost_report.csv")
-            cost_model.write_report_summary(report, staging / "cost_summary.json")
-            names = sorted(os.listdir(staging))
-            for name in names:
-                (out_dir / name).unlink(missing_ok=True)
-            for name in names:
-                os.replace(staging / name, out_dir / name)
+    with _stage("write"), os_error_as("out_dir"), trace_io.publish(out_dir) as staging:
+        encoder_scan.write_selection(selection, staging)
+        trace_io.write_json(staging / "profile.json", dataclasses.asdict(profile))
+        cost_model.write_report_csv(report, staging / "cost_report.csv")
+        cost_model.write_report_summary(report, staging / "cost_summary.json")
     return selection, profile, report, out_dir

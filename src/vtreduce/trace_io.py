@@ -11,18 +11,21 @@ Binary tensor file layout (little-endian throughout):
     then       payload row-major values, exactly elem_size * prod(dims) bytes
 
 A trace bundle on disk is a directory holding ``manifest.json`` plus one
-tensor file per array. Bundles are immutable once the manifest is written.
+tensor file per array. ``publish`` writes bundles and pipeline runs alike
+and moves ``manifest.json`` in last: a reader sees one whole bundle or none.
 
 The synthetic generators stand in for a real vision-language model at desk
 scale. They are pure functions of their arguments: equal arguments produce
 byte-identical bundles.
 """
 
+import contextlib
 import csv
 import json
 import math
 import os
 import struct
+import tempfile
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -190,6 +193,30 @@ def write_csv(path, header: list[str], rows) -> None:
     writer = csv.writer(path)
     writer.writerow(header)
     writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def publish(out_dir):
+    """Yield a staging directory inside ``out_dir``, made if missing. When
+    the block ends without error, remove the earlier copy of each staged
+    file (for a staged manifest: the old manifest first, then every file it
+    lists if it can be read), then move each staged file in by
+    ``os.replace``, ``manifest.json`` last.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".write-", dir=out) as tmp:
+        yield Path(tmp)
+        names = sorted(os.listdir(tmp), key=lambda name: (name == "manifest.json", name))
+        stale = names[::-1]  # the old manifest goes first
+        if "manifest.json" in names:
+            with contextlib.suppress(FormatError):  # an unreadable one lists nothing
+                files = _load_manifest(out)[0]["files"]
+                stale += [n for key, entry in files.items() for n in _entry_names(key, entry)]
+        for name in stale:
+            (out / name).unlink(missing_ok=True)
+        for name in names:
+            os.replace(Path(tmp) / name, out / name)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +392,11 @@ def _is_bare_name(name) -> bool:
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
+def _entry_names(key, entry):
+    """The file names of a manifest ``files`` entry: a list once checked."""
+    return [entry] if key in _ONE_FILE_KEYS else [] if entry is None else entry
+
+
 def _load_manifest(path) -> tuple[dict, Path]:
     p = Path(path)
     if not p.is_file():
@@ -395,7 +427,7 @@ def _load_manifest(path) -> tuple[dict, Path]:
         if not _is_int(value):
             raise FormatError(f"manifest {key!r} must be an integer, got {value!r}")
     for key, entry in manifest["files"].items():
-        names = [entry] if key in _ONE_FILE_KEYS else [] if entry is None else entry
+        names = _entry_names(key, entry)
         if not isinstance(names, list) or not all(map(_is_bare_name, names)):
             raise FormatError(
                 f"manifest files entry {key!r} must name files inside the bundle, "
@@ -406,25 +438,25 @@ def _load_manifest(path) -> tuple[dict, Path]:
 
 def _write_bundle(trace, out_dir, kind: str) -> Path:
     cls, counts = _KINDS[kind]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {"version": FORMAT_VERSION, "kind": kind, "files": {}}
-    for f in fields(cls):
-        value = getattr(trace, f.name)
-        if f.type is int:
-            manifest[f.name] = value
-        elif f.name not in _STACK_STEMS:
-            manifest["files"][f.name] = name = f"{f.name}.vscn"
-            write_tensor(out / name, value)
-        elif value is None:
-            manifest["files"][f.name] = None
-        else:
-            names = [f"{_STACK_STEMS[f.name]}_{i:02d}.vscn" for i in range(len(value))]
-            for name, layer in zip(names, value):
-                write_tensor(out / name, layer)
-            manifest["files"][f.name] = names
-    manifest.update((key, getattr(trace, key)) for key in counts)
-    return write_json(out / "manifest.json", manifest)
+    with publish(out_dir) as staging:
+        for f in fields(cls):
+            value = getattr(trace, f.name)
+            if f.type is int:
+                manifest[f.name] = value
+            elif f.name not in _STACK_STEMS:
+                manifest["files"][f.name] = name = f"{f.name}.vscn"
+                write_tensor(staging / name, value)
+            elif value is None:
+                manifest["files"][f.name] = None
+            else:
+                names = [f"{_STACK_STEMS[f.name]}_{i:02d}.vscn" for i in range(len(value))]
+                for name, layer in zip(names, value):
+                    write_tensor(staging / name, layer)
+                manifest["files"][f.name] = names
+        manifest.update((key, getattr(trace, key)) for key in counts)
+        write_json(staging / "manifest.json", manifest)
+    return Path(out_dir) / "manifest.json"
 
 
 def _read_bundle(path, kind: str):
@@ -514,18 +546,18 @@ def generate_synthetic_encoder(
 
     self_attn = None
     if include_self_attention:
-        logits = rng.normals(n_layers * n_heads * n * n).reshape(
+        # the logits, each slice softmaxed in place
+        self_attn = rng.normals(n_layers * n_heads * n * n).reshape(
             n_layers, n_heads, n, n
         )
         dist = _chebyshev_distances(grid_h, grid_w)
-        self_attn = np.empty_like(logits)
         for i in range(n_layers):
             if n_layers > 1:
                 weight = locality_strength * (n_layers - 1 - i) / (n_layers - 1)
             else:
                 weight = 0.0
             for h in range(n_heads):
-                self_attn[i, h] = softmax_rows(logits[i, h] - weight * dist)
+                self_attn[i, h] = softmax_rows(self_attn[i, h] - weight * dist)
 
     emb = rng.normals(n * embed_dim).reshape(n, embed_dim)
     unit_rows(emb)

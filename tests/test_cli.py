@@ -76,6 +76,15 @@ class TestGen:
                for name, blob in bundle_bytes(tmp_path / "b").items()}
         assert got == digests
 
+    def test_rewrite_leaves_only_the_new_bundle(self, capsys, tmp_path):
+        gen = ["gen", "--kind", "encoder", "--seed", "7", "--grid", "4x4",
+               "--heads", "2", "--out", tmp_path / "b"]
+        assert run(capsys, *gen, "--layers", "4")[0] == 0
+        assert run(capsys, *gen, "--layers", "2", "--cls-only")[0] == 0
+        assert sorted(bundle_bytes(tmp_path / "b")) == [
+            "cls_00.vscn", "cls_01.vscn", "embeddings.vscn", "manifest.json"]
+        assert [p for p in (tmp_path / "b").iterdir() if p.is_dir()] == []
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "encoder", "--out", str(tmp_path / "x")])

@@ -2,9 +2,10 @@ import importlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vtreduce import ConfigError, FormatError, run_pipeline
+from vtreduce import ConfigError, FormatError, read_encoder_bundle, run_pipeline
 from vtreduce.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,3 +114,30 @@ def test_failed_write_leaves_no_file_of_an_earlier_run(small_world, monkeypatch)
     assert exc.value.stage == "write"
     left = artifact_bytes(small_world / "run")
     assert len(left) == 2 and left == {k: good[k] for k in left}
+
+
+def test_run_into_a_bundle_keeps_the_bundle(small_world):
+    bundle = artifact_bytes(small_world / "enc")
+    trace = read_encoder_bundle(small_world / "enc")
+    run_pipeline(small_cfg(small_world, out_dir=str(small_world / "enc")))
+    left = artifact_bytes(small_world / "enc")
+    assert set(left) == set(bundle) | {"cost_report.csv", "cost_summary.json",
+                                       "merged_embeddings.vscn", "profile.json",
+                                       "selection.json"}
+    assert {k: left[k] for k in bundle} == bundle
+    back = read_encoder_bundle(small_world / "enc")
+    assert np.array_equal(back.cls_attention, trace.cls_attention)
+
+
+def test_gen_into_a_run_keeps_the_run(small_world):
+    run_pipeline(small_cfg(small_world))
+    run = artifact_bytes(small_world / "run")
+    gen = ["gen", "--kind", "encoder", "--seed", "7", "--grid", "4x4", "--heads", "2",
+           "--out", str(small_world / "run")]
+    assert main([*gen, "--layers", "4"]) == 0
+    assert main([*gen, "--layers", "2", "--cls-only"]) == 0  # a rewrite too
+    left = artifact_bytes(small_world / "run")
+    assert set(left) == set(run) | {"cls_00.vscn", "cls_01.vscn", "embeddings.vscn",
+                                    "manifest.json"}
+    assert {k: left[k] for k in run} == run
+    assert read_encoder_bundle(small_world / "run").n_layers == 2

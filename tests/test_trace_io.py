@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 import struct
 import tempfile
 import warnings
@@ -13,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import spearmanr
 
 from conftest import near_mass
+from vtreduce import trace_io
 from vtreduce import (
     DecoderTrace,
     DegenerateInputError,
@@ -269,6 +272,45 @@ class TestBundles:
         write_decoder_bundle(trace, tmp_path / "dec")
         with pytest.raises(FormatError, match="encoder"):
             read_encoder_bundle(tmp_path / "dec")
+
+
+def same_trace(a, b):
+    """Whether two traces hold the same values, arrays compared exactly."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+class TestRewrite:
+    @pytest.mark.parametrize("fail_at", [
+        "write_tensor 3", *(f"replace {k}" for k in range(1, 5)),
+    ])
+    def test_failed_rewrite_never_reads_a_mix(self, tmp_path, monkeypatch, fail_at):
+        # the new bundle stages 4 files over an old one of 9; both share the
+        # grid, heads and embed dim, so a mix of their files would read back
+        old = generate_synthetic_encoder(1, 3, 3, 4, 2, 4)
+        new = generate_synthetic_encoder(2, 3, 3, 2, 2, 4, include_self_attention=False)
+        out = tmp_path / "b"
+        write_encoder_bundle(old, out)
+        name, nth = fail_at.split()
+        owner = trace_io if name == "write_tensor" else os
+        calls, real = [], getattr(owner, name)
+
+        def fail(*args):
+            calls.append(args)
+            if len(calls) == int(nth):
+                raise OSError("disk full")
+            return real(*args)
+        monkeypatch.setattr(owner, name, fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_encoder_bundle(new, out)
+        monkeypatch.undo()
+        try:
+            back = read_encoder_bundle(out)
+        except FormatError:
+            pass
+        else:
+            assert same_trace(back, old) or same_trace(back, new)
+        assert list(out.glob(".write-*")) == []
 
 
 class TestEncoderGenerator:
