@@ -8,14 +8,26 @@ so the generator is pinned rather than delegated to a library default:
 * uniforms: top 53 bits of each output, scaled to [0, 1) (or (0, 1])
 * normals: Box-Muller pairs over (0, 1] x [0, 1) uniforms
 
-All arithmetic is modulo 2**64.
+All arithmetic is modulo 2**64. ``next_u64`` is the reference stream.
+
+``normals`` computes the same stream, and the same bits, in numpy lanes.
+The xoshiro256** update is linear over GF(2): as a row vector of 256 state
+bits, a state steps to ``state @ T``. T is derived by stepping the 256 unit
+states with the lane kernel, and T^(2^k) by squaring. The stream is cut
+into chunks of 2^c outputs; lane i starts at the start state times
+T^(i * 2^c), the lanes step together, and the chunks are read back in
+stream order. The state left afterwards is the start state jumped by the
+number of outputs drawn, so the next draw continues the scalar stream.
 """
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# u64 outputs per transform block
+_BLOCK = 4096
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -28,6 +40,73 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _step(s: np.ndarray) -> np.ndarray:
+    """Advance the xoshiro256** states in the columns of the (4, L) uint64
+    array ``s`` one step, in place; returns their L outputs."""
+    s0, s1, s2, s3 = s
+    x = s1 * 5
+    out = (x << 7 | x >> 57) * 9
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[...] = s3 << 45 | s3 >> 19
+    return out
+
+
+def _to_bits(s: np.ndarray) -> np.ndarray:
+    """(4, L) uint64 states as an (L, 256) float32 0/1 array; bit b of word
+    w is column 64 * w + b."""
+    octets = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").astype(np.float32)
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """The inverse of ``_to_bits``."""
+    octets = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+
+
+@functools.cache
+def _jump_bits(k: int) -> bytes:
+    """T^(2^k) as packed bits. Each matmul sum is an integer <= 256, so a
+    float32 product is exact before the mod 2."""
+    if k == 0:
+        units = _from_bits(np.eye(256, dtype=np.float32))
+        _step(units)
+        power = _to_bits(units)
+    else:
+        half = _jump_matrix(k - 1)
+        power = (half @ half) % 2
+    return np.packbits(power.astype(np.uint8)).tobytes()
+
+
+def _jump_matrix(k: int) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(_jump_bits(k), np.uint8))
+    return bits.reshape(256, 256).astype(np.float32)
+
+
+def _jump(s: np.ndarray, k: int) -> np.ndarray:
+    """The (4, L) states ``s`` advanced 2^k steps, as a new array."""
+    return _from_bits((_to_bits(s) @ _jump_matrix(k)) % 2)
+
+
+def _advance(s: np.ndarray, d: int) -> np.ndarray:
+    """The (4, L) states ``s`` advanced ``d`` steps, from the bits of d."""
+    for k in range(d.bit_length()):
+        if d >> k & 1:
+            s = _jump(s, k)
+    return s
+
+
+def _fmap(f, a: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` over the entries of ``a``; numpy's own
+    transcendentals can round differently."""
+    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
 class Xoshiro256:
@@ -55,15 +134,26 @@ class Xoshiro256:
         return result
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal draws via Box-Muller, consuming 2*ceil(n/2) u64s."""
-        pairs = (n + 1) // 2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        for i in range(pairs):
+        """n standard normal draws via Box-Muller, consuming 2*ceil(n/2) u64s:
+        the pair of u64s at 2i and 2i + 1 gives draws 2i and 2i + 1."""
+        u = 2 * ((n + 1) // 2)
+        c = max(6, u.bit_length() // 2)
+        lanes = np.array(self._s, dtype=np.uint64)[:, None]
+        end = _advance(lanes, u)
+        for k in range(c, (u - 1).bit_length()):  # lane i starts i * 2^c steps on
+            lanes = np.hstack([lanes, _jump(lanes, k)])
+        lanes = lanes[:, :-(-u >> c)]
+        steps = min(1 << c, u)
+        out = np.empty((lanes.shape[1], steps))  # out[i, t]: draw i * 2^c + t
+        rows = max(2, _BLOCK // max(1, lanes.shape[1]) & ~1)
+        for t0 in range(0, steps, rows):
+            x = np.stack([_step(lanes) for _ in range(min(rows, steps - t0))])
             # u1 in (0, 1] so log(u1) is finite
-            u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-            u2 = (self.next_u64() >> 11) * 2.0**-53
-            r = math.sqrt(-2.0 * math.log(u1))
+            u1 = ((x[0::2] >> 11) + 1) * 2.0**-53
+            u2 = (x[1::2] >> 11) * 2.0**-53
+            r = np.sqrt(-2.0 * _fmap(math.log, u1))
             theta = 2.0 * math.pi * u2
-            out[2 * i] = r * math.cos(theta)
-            out[2 * i + 1] = r * math.sin(theta)
-        return out[:n]
+            out[:, t0:t0 + len(x):2] = (r * _fmap(math.cos, theta)).T
+            out[:, t0 + 1:t0 + len(x):2] = (r * _fmap(math.sin, theta)).T
+        self._s = [int(v) for v in end[:, 0]]
+        return out.reshape(-1)[:n]

@@ -539,10 +539,10 @@ def generate_synthetic_encoder(
     n = grid_h * grid_w
     rng = Xoshiro256(seed)
 
-    cls_logits = rng.normals(n_layers * n_heads * n).reshape(n_layers, n_heads, n)
-    cls_attn = np.stack(
-        [softmax_rows(cls_logits[i]) for i in range(n_layers)]
-    )
+    # the logits, each layer softmaxed in place
+    cls_attn = rng.normals(n_layers * n_heads * n).reshape(n_layers, n_heads, n)
+    for i in range(n_layers):
+        cls_attn[i] = softmax_rows(cls_attn[i])
 
     self_attn = None
     if include_self_attention:
@@ -594,7 +594,8 @@ def generate_synthetic_decoder(
         raise TraceError("all generator dims must be >= 1")
     seq_len = n_pre_text + n_visual + n_post_text
     rng = Xoshiro256(seed)
-    logits = rng.normals(n_layers * n_heads * seq_len).reshape(
+    # the logits, each layer biased and softmaxed in place
+    attn = rng.normals(n_layers * n_heads * seq_len).reshape(
         n_layers, n_heads, seq_len
     )
 
@@ -604,15 +605,13 @@ def generate_synthetic_decoder(
     boost_hi = max(boost_lo + 1, (2 * n_layers) // 3)
     vis_lo, vis_hi = n_pre_text, n_pre_text + n_visual
 
-    attn = np.empty_like(logits)
     for j in range(n_layers):
-        layer_logits = logits[j].copy()
         decay = max(0.0, 1.0 - 2.0 * j / n_layers)
         if position_bias_strength != 0.0 and decay > 0.0:
-            layer_logits += position_bias_strength * decay * recency
+            attn[j] += position_bias_strength * decay * recency
         if visual_boost_strength != 0.0 and boost_lo <= j < boost_hi:
-            layer_logits[:, vis_lo:vis_hi] += visual_boost_strength
-        attn[j] = softmax_rows(layer_logits)
+            attn[j, :, vis_lo:vis_hi] += visual_boost_strength
+        attn[j] = softmax_rows(attn[j])
 
     return DecoderTrace(
         n_pre_text=n_pre_text,
