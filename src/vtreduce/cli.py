@@ -25,37 +25,11 @@ from .errors import ConfigError, VtReduceError, os_error_as
 
 OUT_DIR_ENV = "VTREDUCE_OUT_DIR"
 
-# The pipeline fields, in flag order: config key -> (type, flag help). Each
-# row gives the flag --key-with-dashes (out_dir is --out) and the type a
-# config-file value must have. ``T | None`` fields also take JSON null,
-# read as unset. Defaults live in ScanConfig, the preset and
-# pipeline.run_pipeline, not here.
-_PIPELINE_FIELDS = {
-    "preset": (str | None, "model preset name"),
-    "encoder_trace": (str, None),
-    "decoder_trace": (str, None),
-    "retention": (float, "encoder-stage retention"),
-    "target_average": (float, "solve the encoder retention for this average"),
-    "global_fraction": (float, None),
-    "local_layer": (int, None),
-    "output_layer": (int | None, None),
-    "window_rows": (int, None),
-    "window_cols": (int, None),
-    "score_source": (str, None),
-    "decoder_retention": (float, None),
-    "prune_layer": (int, None),
-    "n_layers": (int, None),
-    "hidden_size": (int, None),
-    "ffn_size": (int, None),
-    "n_text_total": (int, None),
-    "out_dir": (str, "artifact directory"),
-}
-
 
 def _add_fields(parser, keys, **kwargs) -> None:
     """Add the flags of the table rows ``keys`` to ``parser``."""
     for key in keys:
-        kind, help_text = _PIPELINE_FIELDS[key]
+        kind, help_text = pipeline.FIELDS[key]
         parser.add_argument(
             "--out" if key == "out_dir" else "--" + key.replace("_", "-"),
             dest=key,
@@ -66,15 +40,6 @@ def _add_fields(parser, keys, **kwargs) -> None:
         )
 
 
-def _check_type(key: str, value) -> None:
-    """A config value must have its row's type; a bool is never a number."""
-    kind = _PIPELINE_FIELDS[key][0]
-    accepted = int | float if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        name = getattr(kind, "__name__", kind)  # "int", or "int | None"
-        raise ConfigError(key, f"expected {name}, got {json.dumps(value)}")
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -83,15 +48,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError("grid", f"expected HxW, got {text!r}") from None
 
 
-def _resolve_out(flag, fallback=None):
-    out = (os.environ.get(OUT_DIR_ENV) or fallback) if flag is None else flag
-    if out is None:
-        raise ConfigError("out", "no output directory given")
-    return Path(out)
-
-
 def _cmd_gen(args) -> int:
-    out = _resolve_out(args.out)
+    if args.out is None:  # neither --out nor VTREDUCE_OUT_DIR
+        raise ConfigError("out", "no output directory given")
     if args.kind == "encoder":
         grid_h, grid_w = _parse_grid(args.grid)
         trace = trace_io.generate_synthetic_encoder(
@@ -108,27 +67,23 @@ def _cmd_gen(args) -> int:
         )
         write = trace_io.write_decoder_bundle
     with os_error_as("out"):
-        manifest = write(trace, out)
+        manifest = write(trace, args.out)
     print(manifest)
     return 0
 
 
 def _load_pipeline_config(args) -> dict:
-    """The config file's type-checked fields under the flags that are set."""
+    """The config file's fields under the flags that are set, unchecked."""
     cfg = {}
     if args.config is not None:
         try:
             cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError also covers bad UTF-8 and integers past Python's digit limit
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        for key, value in cfg.items():
-            if key not in _PIPELINE_FIELDS:
-                raise ConfigError(key, "unknown config field")
-            _check_type(key, value)
-    cfg.update({k: v for k in _PIPELINE_FIELDS if (v := getattr(args, k)) is not None})
-    cfg["out_dir"] = _resolve_out(args.out_dir, fallback=cfg.get("out_dir", "."))
+    cfg.update({k: v for k in pipeline.FIELDS if (v := getattr(args, k)) is not None})
     return cfg
 
 
@@ -136,7 +91,7 @@ def _cmd_pipeline(args) -> int:
     try:
         cfg = _load_pipeline_config(args)
         selection, profile, report, out_dir = pipeline.run_pipeline(cfg)
-    except VtReduceError as exc:  # no exc.stage: the CLI's own config checks
+    except VtReduceError as exc:  # no exc.stage: reading the config file
         print(f"pipeline failed at stage {getattr(exc, 'stage', 'config')!r}: {exc}",
               file=sys.stderr)
         return 1
@@ -155,11 +110,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_flops(args) -> int:
     # flags > preset, as for pipeline
     cfg = cost_model.fill_preset({k: v for k, v in vars(args).items() if v is not None})
-    if any(k not in cfg for k in ("n_layers", "hidden_size", "ffn_size")):
-        raise ConfigError(
-            "preset", "need --preset or all of --n-layers/--hidden-size/--ffn-size"
-        )
-    dims = cost_model.ModelDims(cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"])
+    dims = cost_model.config_dims(cfg)
     total = cost_model.flops_total([args.tokens] * dims.n_layers, dims)
     print(f"{total:.6e}")
     return 0
@@ -197,11 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage visual token reduction over attention traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_env = os.environ.get(OUT_DIR_ENV) or None  # default of gen and pipeline --out
 
     gen = sub.add_parser("gen", help="generate a synthetic trace bundle")
     gen.add_argument("--kind", choices=["encoder", "decoder"], required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", help="bundle directory")
+    gen.add_argument("--out", default=out_env, help="bundle directory")
     gen.add_argument("--layers", type=int, default=12)
     gen.add_argument("--heads", type=int, default=4)
     gen.add_argument("--grid", default="6x6", help="encoder patch grid, HxW")
@@ -221,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     pipe.add_argument("--config", help="JSON config file")
-    _add_fields(pipe, _PIPELINE_FIELDS)
-    pipe.set_defaults(func=_cmd_pipeline)
+    _add_fields(pipe, pipeline.FIELDS)
+    pipe.set_defaults(func=_cmd_pipeline, out_dir=out_env)
 
     flops = sub.add_parser("flops", help="prefill FLOPs at a uniform token count")
     _add_fields(flops, ("preset", "n_layers", "hidden_size", "ffn_size"))

@@ -29,6 +29,7 @@ __all__ = [
     "ModelDims",
     "MODEL_PRESETS",
     "fill_preset",
+    "config_dims",
     "flops_total",
     "average_retention",
     "solve_encoder_retention",
@@ -85,6 +86,14 @@ def fill_preset(cfg: dict) -> dict:
     return {**preset.pop("dims"), **preset, **cfg}
 
 
+def config_dims(cfg: dict) -> ModelDims:
+    """The ``ModelDims`` of a config after ``fill_preset``; each dim is required."""
+    missing = [f.name for f in dataclasses.fields(ModelDims) if f.name not in cfg]
+    if missing:
+        raise ConfigError(missing[0], "required unless a preset supplies it")
+    return ModelDims(cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"])
+
+
 def flops_total(tokens_per_layer, dims: ModelDims) -> float:
     """Sum over layers of 4*n*d^2 + 2*n^2*d + 3*n*d*m, in float64."""
     if len(tokens_per_layer) != dims.n_layers:
@@ -97,8 +106,8 @@ def flops_total(tokens_per_layer, dims: ModelDims) -> float:
     total = 0.0
     for n in tokens_per_layer:
         n = float(n)
-        if n < 0:
-            raise ConfigError("tokens_per_layer", f"negative token count {n}")
+        if not 0.0 <= n < float("inf"):  # false for nan too
+            raise ConfigError("tokens_per_layer", f"must be finite and >= 0, got {n}")
         total += 4.0 * n * d * d + 2.0 * n * n * d + 3.0 * n * d * m
     return total
 

@@ -1,16 +1,43 @@
 """The reduction pipeline as named stages, in order: ``config``,
 ``load-traces``, ``encoder-scan``, ``merge``, ``decoder-scores``, ``prune``,
 ``report`` and ``write``. A ``VtReduceError`` leaves ``run_pipeline`` with
-the name of the stage that raised it in ``exc.stage``."""
+the name of the stage that raised it in ``exc.stage``. Config keys are checked
+by ``FIELDS`` for CLI and Python callers alike; path fields take os.PathLike."""
 
 import contextlib
 import dataclasses
+import json
+import os
 from pathlib import Path
 
 from . import cost_model, decoder_prune, encoder_scan, trace_io
 from .errors import ConfigError, VtReduceError, os_error_as
 
-__all__ = ["run_pipeline"]
+__all__ = ["FIELDS", "run_pipeline"]
+
+# The pipeline fields, in flag order: config key -> (type, flag help). The CLI
+# makes each row the flag --key-with-dashes (out_dir is --out), and a value
+# must have the row's type. ``T | None`` fields also take None, read as unset.
+FIELDS = {
+    "preset": (str | None, "model preset name"),
+    "encoder_trace": (str, None),
+    "decoder_trace": (str, None),
+    "retention": (float, "encoder-stage retention"),
+    "target_average": (float, "solve the encoder retention for this average"),
+    "global_fraction": (float, None),
+    "local_layer": (int, None),
+    "output_layer": (int | None, None),
+    "window_rows": (int, None),
+    "window_cols": (int, None),
+    "score_source": (str, None),
+    "decoder_retention": (float, None),
+    "prune_layer": (int, None),
+    "n_layers": (int, None),
+    "hidden_size": (int, None),
+    "ffn_size": (int, None),
+    "n_text_total": (int, None),
+    "out_dir": (str, "artifact directory"),
+}
 
 
 @contextlib.contextmanager
@@ -24,44 +51,56 @@ def _stage(name: str):
         raise
 
 
+def _check_type(key, value) -> None:
+    """A config value must have its row's type; a bool is never a number."""
+    if key not in FIELDS:
+        raise ConfigError(key, "unknown config field")
+    kind = FIELDS[key][0]
+    accepted = int | float if kind is float else kind
+    if key in ("encoder_trace", "decoder_trace", "out_dir"):
+        accepted = str | os.PathLike
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        name = getattr(kind, "__name__", kind)  # "int", or "int | None"
+        try:
+            shown = json.dumps(value)
+        except (TypeError, ValueError):  # not a JSON value, e.g. a numpy scalar
+            shown = repr(value)
+        raise ConfigError(key, f"expected {name}, got {shown}")
+
+
 def run_pipeline(cfg: dict):
-    """Run every stage on ``cfg``, a dict keyed like a pipeline config file
-    whose values the caller has type-checked; ``cfg`` itself is not changed.
+    """Run every stage on ``cfg``, a dict keyed as ``FIELDS``; it is not changed.
 
     Returns ``(selection, profile, report, out_dir)``. The artifacts are
     written by ``trace_io.publish``: so an artifact in ``out_dir`` is either
     absent or complete, and never sits beside one of an earlier run.
     """
     with _stage("config"):
+        for key, value in cfg.items():
+            _check_type(key, value)
         cfg = cost_model.fill_preset(cfg)
         for key in ("encoder_trace", "decoder_trace"):
             if key not in cfg:
                 raise ConfigError(key, "required (config file or flag)")
-        for key in ("n_layers", "hidden_size", "ffn_size"):
-            if key not in cfg:
-                raise ConfigError(key, "required unless a preset supplies it")
+        dims = cost_model.config_dims(cfg)
         if "retention" in cfg and "target_average" in cfg:
             raise ConfigError(
                 "target_average", "give either retention or target_average, not both"
             )
         cfg.setdefault("decoder_retention", 0.333)
-        cfg.setdefault("prune_layer", max(1, cfg["n_layers"] // 2))
-        dims = cost_model.ModelDims(cfg["n_layers"], cfg["hidden_size"], cfg["ffn_size"])
+        cfg.setdefault("prune_layer", max(1, dims.n_layers // 2))
         prune_cfg = decoder_prune.PruneConfig(
             cfg["prune_layer"], cfg["decoder_retention"], cfg["n_layers"]
         )
-        retention = cfg.get("retention", 1.0)
         if "target_average" in cfg:
-            retention = cost_model.solve_encoder_retention(
+            cfg["retention"] = cost_model.solve_encoder_retention(
                 cfg["target_average"], cfg["decoder_retention"],
                 cfg["prune_layer"], cfg["n_layers"],
             )
-        # every other ScanConfig field takes its default unless cfg sets it
+        cfg.setdefault("retention", 1.0)
+        # a ScanConfig field that cfg leaves unset takes its ScanConfig default
         scan_keys = {f.name for f in dataclasses.fields(encoder_scan.ScanConfig)}
-        scan_cfg = encoder_scan.ScanConfig(
-            retention=retention,
-            **{k: cfg[k] for k in scan_keys - {"retention"} if k in cfg},
-        )
+        scan_cfg = encoder_scan.ScanConfig(**{k: cfg[k] for k in scan_keys if k in cfg})
         out_dir = Path(cfg.get("out_dir", "."))
 
     with _stage("load-traces"):

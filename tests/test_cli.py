@@ -257,6 +257,20 @@ class TestPipeline:
         assert out_a.splitlines()[:2] == out_b.splitlines()[:2]
         assert bundle_bytes(small_world / "file") == bundle_bytes(small_world / "flag")
 
+    @pytest.mark.parametrize("content", [
+        b'{"retention": "\xff"}',  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+        b'{"n_text_total": ' + b"1" * 5000 + b"}",  # past the int digit limit
+    ], ids=["not-utf8", "too-deep", "too-many-digits"])
+    def test_unreadable_config_file_named(self, capsys, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        code, out, err = run(capsys, "pipeline", "--config", cfg_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"pipeline failed at stage 'config': config: cannot read {cfg_path}: "
+        )
+
     def test_embeddings_outside_bundle_rejected(self, capsys, small_world):
         shutil.copytree(small_world / "enc", small_world / "encX")
         manifest_path = small_world / "enc" / "manifest.json"
@@ -423,6 +437,18 @@ class TestFlopsAndBudget:
                            "--ffn-size", "0", "--tokens", "3")
         assert code == 1
         assert err == "error[flops]: ffn_size: must be >= 1, got 0\n"
+
+    def test_flops_missing_dim_named(self, capsys):
+        code, out, err = run(capsys, "flops", "--tokens", "576", "--n-layers", "32")
+        assert (code, out) == (1, "")
+        assert err == "error[flops]: hidden_size: required unless a preset supplies it\n"
+
+    @pytest.mark.parametrize("tokens", ["-1", "nan", "inf"])
+    def test_flops_token_count_must_be_finite(self, capsys, tokens):
+        code, out, err = run(capsys, "flops", "--preset", "llava15", "--tokens", tokens)
+        assert (code, out) == (1, "")
+        assert err == ("error[flops]: tokens_per_layer: must be finite and >= 0, "
+                       f"got {float(tokens)}\n")
 
     def test_flops_unknown_preset(self, capsys):
         code, _, err = run(capsys, "flops", "--preset", "nope", "--tokens", "1")

@@ -64,6 +64,12 @@ class TestFlopsTotal:
         with pytest.raises(ConfigError):
             flops_total([1] * 31, LLAVA_DIMS)
 
+    @pytest.mark.parametrize("count", [-1, float("nan"), float("inf")])
+    def test_count_must_be_finite_and_non_negative(self, count):
+        with pytest.raises(ConfigError, match="must be finite and >= 0") as exc:
+            flops_total([1] * 31 + [count], LLAVA_DIMS)
+        assert exc.value.field == "tokens_per_layer"
+
     def test_term_structure(self):
         # per layer: linear terms (4 n d^2, 3 n d m) plus quadratic 2 n^2 d,
         # so doubling n scales the quadratic part by exactly 4

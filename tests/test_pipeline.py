@@ -43,6 +43,7 @@ def test_library_run_matches_cli(capsys, small_world):
     ("merge", {"retention": 0.25}, ConfigError),
     ("write", {"out_dir": "taken"}, ConfigError),
     ("load-traces", {"decoder_trace": "unreadable"}, FormatError),
+    ("config", {"n_layers": None}, ConfigError),
 ])
 def test_errors_name_their_stage(small_world, monkeypatch, stage, overrides, error):
     monkeypatch.chdir(small_world)
@@ -53,6 +54,39 @@ def test_errors_name_their_stage(small_world, monkeypatch, stage, overrides, err
     with pytest.raises(error) as exc:
         run_pipeline(cfg)
     assert exc.value.stage == stage
+    if stage == "config":
+        assert exc.value.field in overrides
+
+
+@pytest.mark.parametrize("key, value", [
+    ("retention", "0.5"),
+    ("local_layer", "1"),
+    ("n_layers", "4"),
+    ("window_rows", 2.0),
+    ("window_rows", True),
+    ("decoder_retention", None),
+    ("prune_layer", 2.0),
+    ("output_layer", 3.0),
+    ("prune_layer", np.int64(2)),
+    ("retention", Path("0.5")),
+    ("preset", Path("llava15")),
+    ("bogus_key", 1),
+])
+def test_mistyped_value_is_a_config_error(small_world, key, value):
+    cfg = small_cfg(small_world, **{key: value})
+    message = f"^{key}: (expected|unknown config field)"
+    with pytest.raises(ConfigError, match=message) as exc:
+        run_pipeline(cfg)
+    assert (exc.value.field, exc.value.stage) == (key, "config")
+    assert not (small_world / "run").exists()
+
+
+def test_path_values_give_the_same_artifacts(small_world):
+    run_pipeline(small_cfg(small_world))
+    paths = {"encoder_trace": small_world / "enc", "decoder_trace": small_world / "dec",
+             "out_dir": small_world / "p"}
+    assert run_pipeline(small_cfg(small_world, **paths))[3] == small_world / "p"
+    assert artifact_bytes(small_world / "p") == artifact_bytes(small_world / "run")
 
 
 def test_benchmark_tracer_sees_every_stage(small_world, monkeypatch):
