@@ -21,7 +21,9 @@ from .numerics import (
 )
 from .trace_io import EncoderTrace, write_json, write_tensor
 
-SCORE_SOURCES = ("cls", "self_avg")
+# score source -> the attention stack it scores from
+_SCORE_STACKS = {"cls": "cls_attention", "self_avg": "self_attention"}
+SCORE_SOURCES = tuple(_SCORE_STACKS)
 
 __all__ = [
     "ScanConfig",
@@ -80,11 +82,36 @@ class ScanConfig:
                 f"must be one of {SCORE_SOURCES}, got {self.score_source!r}",
             )
 
-    def resolve_output_layer(self, n_layers: int) -> int:
-        """Penultimate layer by default, the only layer for depth-1 traces."""
-        if self.output_layer is not None:
-            return self.output_layer
-        return n_layers - 1 if n_layers >= 2 else 1
+    def layers(self, n_layers: int) -> tuple[int, int]:
+        """``(local_layer, output_layer)`` on an encoder of ``n_layers``
+        layers; the output layer defaults to the penultimate one, or to the
+        only one of a depth-1 encoder."""
+        output = self.output_layer
+        if output is None:
+            output = n_layers - 1 if n_layers >= 2 else 1
+        if not self.local_layer <= output <= n_layers:
+            raise ConfigError(
+                "output_layer",
+                f"need local_layer {self.local_layer} <= output_layer {output}"
+                f" <= {n_layers} encoder layers",
+            )
+        return self.local_layer, output
+
+    def read_layers(self, stack: str, n_layers: int) -> tuple[int, ...]:
+        """The ``layers`` argument of ``read_encoder_bundle`` for this scan:
+        in the stack ``score_source`` names, of ``n_layers`` layers (0 when
+        the bundle has none), its ``layers``; in another stack, none.
+        ``on_read_layers`` maps the scan onto the trace read."""
+        if stack != _SCORE_STACKS[self.score_source]:
+            return ()
+        if not n_layers:
+            raise TraceError(f"no {stack} in trace at layer {self.local_layer}")
+        return self.layers(n_layers)
+
+    def on_read_layers(self, trace: EncoderTrace) -> "ScanConfig":
+        """This scan on a trace that holds only its ``read_layers``, ascending
+        and without repeats: the local layer first, the output layer last."""
+        return dataclasses.replace(self, local_layer=1, output_layer=trace.n_layers)
 
 
 @dataclass
@@ -118,13 +145,12 @@ def head_averaged_scores(trace: EncoderTrace, layer: int, source: str) -> np.nda
         raise TraceError(f"unknown score source {source!r}")
     if not 1 <= layer <= trace.n_layers:
         raise TraceError(f"layer {layer} outside [1, {trace.n_layers}]")
+    name = _SCORE_STACKS[source]
+    if getattr(trace, name) is None:
+        raise TraceError(f"no {name} in trace at layer {layer}")
+    attn = getattr(trace, name)[layer - 1]  # cls: (H, n); self_avg: (H, n, n)
     if source == "cls":
-        if trace.cls_attention is None:
-            raise TraceError(f"no cls_attention in trace at layer {layer}")
-        return trace.cls_attention[layer - 1].mean(axis=0)
-    if trace.self_attention is None:
-        raise TraceError(f"no self_attention in trace at layer {layer}")
-    attn = trace.self_attention[layer - 1]  # (H, n, n)
+        return attn.mean(axis=0)
     n = attn.shape[1]
     if n == 1:
         return np.zeros(1)
@@ -241,18 +267,12 @@ def stage1_budgets(n_tokens: int, retention: float, global_fraction: float):
 def select_tokens(trace: EncoderTrace, cfg: ScanConfig) -> TokenSelection:
     """Run the local scan, then the global scan with local tokens excluded."""
     n = trace.n_tokens
-    output_layer = cfg.resolve_output_layer(trace.n_layers)
-    if not cfg.local_layer <= output_layer <= trace.n_layers:
-        raise ConfigError(
-            "output_layer",
-            f"need local_layer {cfg.local_layer} <= output_layer {output_layer}"
-            f" <= {trace.n_layers} encoder layers",
-        )
+    local_layer, output_layer = cfg.layers(trace.n_layers)
     windows = partition_windows(
         trace.grid_h, trace.grid_w, cfg.window_rows, cfg.window_cols
     )
     total, budget_g, budget_l = stage1_budgets(n, cfg.retention, cfg.global_fraction)
-    local_scores = head_averaged_scores(trace, cfg.local_layer, cfg.score_source)
+    local_scores = head_averaged_scores(trace, local_layer, cfg.score_source)
     local = local_scan(local_scores, windows, budget_l)
     global_scores = head_averaged_scores(trace, output_layer, cfg.score_source)
     global_ = global_scan(global_scores, budget_g, excluded=local)

@@ -104,7 +104,11 @@ def run_pipeline(cfg: dict):
         out_dir = Path(cfg.get("out_dir", "."))
 
     with _stage("load-traces"):
-        encoder = trace_io.read_encoder_bundle(cfg["encoder_trace"])
+        # only the layers the scan scores are read, and it runs on them
+        encoder = trace_io.read_encoder_bundle(
+            cfg["encoder_trace"], layers=scan_cfg.read_layers
+        )
+        scan_cfg = scan_cfg.on_read_layers(encoder)
         decoder = trace_io.read_decoder_bundle(cfg["decoder_trace"])
         if decoder.n_layers != dims.n_layers:
             raise ConfigError(

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, FormatError, ShapeError, TraceError
+from .errors import ConfigError, DegenerateInputError, FormatError, ShapeError, TraceError
 from .numerics import as_tensor, check_shape, softmax_rows, unit_rows
 from .rng import Xoshiro256
 
@@ -144,12 +144,13 @@ def _read_payload(fh, code: int, out: np.ndarray) -> None:
         out[...] = buf
 
 
-def _read_stack(base: Path, names: list[str]) -> np.ndarray:
-    """Read same-shape tensor files into a new (len(names), ...) float64 stack.
+def _read_stack(base: Path, names: list[str], keep=None) -> np.ndarray:
+    """Read same-shape tensor files into a new float64 stack of the files at
+    the 0-based, ascending indices ``keep`` (default: every file).
 
     Every header is checked against its file size, in order, and then the
-    shapes against each other, before any payload is read; each payload is
-    then copied once, into its slot. Values are left to the caller to check.
+    shapes against each other, before any payload is read; each kept payload
+    is then copied once, into its slot. Values are left to the caller to check.
     """
     if not names:
         raise FormatError("manifest lists no layer files")
@@ -162,9 +163,11 @@ def _read_stack(base: Path, names: list[str]) -> np.ndarray:
         shapes = {dims for dims, _ in heads}
         if len(shapes) > 1:
             raise FormatError(f"layer files disagree on shape: {sorted(shapes)}")
-        stack = np.empty((len(paths), *shapes.pop()))
-        for path, (dims, code), layer in zip(paths, heads, stack):
-            with open(path, "rb") as fh:
+        keep = range(len(paths)) if keep is None else keep
+        stack = np.empty((len(keep), *shapes.pop()))
+        for i, layer in zip(keep, stack):
+            dims, code = heads[i]
+            with open(paths[i], "rb") as fh:
                 fh.seek(8 + 8 * len(dims))
                 _read_payload(fh, code, layer)
     except OSError as exc:
@@ -278,20 +281,24 @@ class EncoderTrace:
         if self.cls_attention is None and self.self_attention is None:
             raise TraceError("trace needs cls_attention or self_attention")
         stacks = set()
-        if self.cls_attention is not None:
-            self.cls_attention = _attention_stack(
-                self.cls_attention, (n,), "cls_attention",
-                f"cls_attention token dim {{}} != {n}",
-            )
-            stacks.add(self.cls_attention.shape[:2])
-        if self.self_attention is not None:
-            self.self_attention = _attention_stack(
-                self.self_attention, (n, n), "self_attention",
-                f"self_attention token dims ({{}}, {{}}) != ({n}, {n})",
-            )
-            stacks.add(self.self_attention.shape[:2])
+        for name, (tail, mismatch) in self._stack_tails().items():
+            if getattr(self, name) is not None:
+                stack = _attention_stack(getattr(self, name), tail, name, mismatch)
+                setattr(self, name, stack)
+                stacks.add(stack.shape[:2])
         if len(stacks) > 1:
             raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
+
+    def _stack_tails(self) -> dict:
+        """Stack field -> (its trailing dims, the error text when they differ,
+        with a ``{}`` per dim)."""
+        n = self.n_tokens
+        return {
+            "cls_attention": ((n,), f"cls_attention token dim {{}} != {n}"),
+            "self_attention": (
+                (n, n), f"self_attention token dims ({{}}, {{}}) != ({n}, {n})"
+            ),
+        }
 
     @property
     def n_tokens(self) -> int:
@@ -459,29 +466,54 @@ def _write_bundle(trace, out_dir, kind: str) -> Path:
     return Path(out_dir) / "manifest.json"
 
 
-def _read_bundle(path, kind: str):
+def _layer_slots(layers, stack: str, n_layers: int) -> list[int]:
+    """The 0-based slots of the 1-based ``layers(stack, n_layers)``, ascending."""
+    wanted = layers(stack, n_layers)
+    for layer in wanted:
+        if not 1 <= layer <= n_layers:
+            raise TraceError(f"{stack} layer {layer} outside [1, {n_layers}]")
+    return sorted({layer - 1 for layer in wanted})
+
+
+def _read_bundle(path, kind: str, layers=None):
     cls, counts = _KINDS[kind]
     manifest, base = _load_manifest(path)
     if manifest["kind"] != kind:
         article = "an" if kind == "encoder" else "a"
         raise FormatError(f"expected {article} {kind} bundle, got kind {manifest['kind']!r}")
-    files, values = manifest["files"], {}
+    files, values, shapes = manifest["files"], {}, {}
     try:
-        # read unchecked: the trace checks every value, once
+        # read unchecked: the trace checks every value it holds, once
         for f in fields(cls):
             if f.type is int:
                 values[f.name] = manifest[f.name]
             elif f.name not in _STACK_STEMS:
                 values[f.name] = _read_stack(base, [files[f.name]])[0]
-            elif f.default is MISSING or files.get(f.name):  # else the default, None
-                values[f.name] = _read_stack(base, files[f.name])
+            else:  # a stack; an absent optional one is the default, None
+                names = files[f.name] if f.default is MISSING else files.get(f.name) or []
+                keep = None if layers is None else _layer_slots(layers, f.name, len(names))
+                if names or f.default is MISSING:
+                    stack = _read_stack(base, names, keep)
+                    shapes[f.name] = (len(names), *stack.shape[1:])
+                    if len(stack):  # else checked by its headers alone, below
+                        values[f.name] = stack
         trace = cls(**values)
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc}") from exc
+    stacks = {shape[:2] for shape in shapes.values()}
+    if len(stacks) > 1:
+        raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
+    for name in shapes.keys() - values.keys():  # the shape checks the trace skipped
+        (tail, mismatch), shape = trace._stack_tails()[name], shapes[name]
+        check_shape(np.broadcast_to(0.0, shape), 2 + len(tail))  # a view, no values
+        if shape[2:] != tail:
+            raise TraceError(mismatch.format(*shape[2:]))
+    depth = stacks.pop()[0]  # the trace may hold fewer layers
     for key in (k for k in counts if k in manifest):
-        if manifest[key] != getattr(trace, key):
+        actual = depth if key == "n_layers" else getattr(trace, key)
+        if manifest[key] != actual:
             raise FormatError(f"manifest {key!r} is {manifest[key]}, but the "
-                              f"files hold {getattr(trace, key)}")
+                              f"files hold {actual}")
     return trace
 
 
@@ -495,8 +527,17 @@ def write_decoder_bundle(trace: DecoderTrace, out_dir) -> Path:
     return _write_bundle(trace, out_dir, "decoder")
 
 
-def read_encoder_bundle(path) -> EncoderTrace:
-    return _read_bundle(path, "encoder")
+def read_encoder_bundle(path, layers=None) -> EncoderTrace:
+    """Read an encoder bundle, by default every layer of every stack.
+
+    ``layers(stack, n_layers)``, when given, names the 1-based layers to
+    read from each stack field, given how many files the manifest lists for
+    it (0 when the stack is absent); the trace then holds just those layers,
+    ascending and without repeats. Every file's header and size, and the
+    layer and head counts, are checked either way; the values only of the
+    layers read.
+    """
+    return _read_bundle(path, "encoder", layers)
 
 
 def read_decoder_bundle(path) -> DecoderTrace:
@@ -513,6 +554,12 @@ def _chebyshev_distances(grid_h: int, grid_w: int) -> np.ndarray:
     dr = np.abs(rows[:, None] - rows[None, :])
     dc = np.abs(cols[:, None] - cols[None, :])
     return np.maximum(dr, dc).astype(np.float64)
+
+
+def _check_finite(field: str, value: float) -> None:
+    """A generator strength must be finite; ``field`` is its ``gen`` flag."""
+    if not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got {value}")
 
 
 def generate_synthetic_encoder(
@@ -536,6 +583,7 @@ def generate_synthetic_encoder(
     """
     if min(grid_h, grid_w, n_layers, n_heads, embed_dim) < 1:
         raise TraceError("all generator dims must be >= 1")
+    _check_finite("locality", locality_strength)
     n = grid_h * grid_w
     rng = Xoshiro256(seed)
 
@@ -592,6 +640,8 @@ def generate_synthetic_decoder(
     """
     if min(n_layers, n_heads, n_pre_text, n_visual, n_post_text) < 1:
         raise TraceError("all generator dims must be >= 1")
+    _check_finite("bias", position_bias_strength)
+    _check_finite("visual_boost", visual_boost_strength)
     seq_len = n_pre_text + n_visual + n_post_text
     rng = Xoshiro256(seed)
     # the logits, each layer biased and softmaxed in place

@@ -85,6 +85,19 @@ class TestGen:
             "cls_00.vscn", "cls_01.vscn", "embeddings.vscn", "manifest.json"]
         assert [p for p in (tmp_path / "b").iterdir() if p.is_dir()] == []
 
+    @pytest.mark.parametrize("kind, flag, value, field", [
+        ("decoder", "--bias", "inf", "bias"),
+        ("decoder", "--visual-boost", "nan", "visual_boost"),
+        ("encoder", "--locality", "-inf", "locality"),
+    ])
+    def test_non_finite_strength_named(self, capsys, tmp_path, kind, flag, value, field):
+        # checked before any draw, so numpy never warns (a warning fails the test)
+        code, _, err = run(capsys, "gen", "--kind", kind, "--seed", "1",
+                           f"{flag}={value}", "--out", tmp_path / "b")
+        assert code == 1
+        assert err == f"error[gen]: {field}: must be finite, got {value}\n"
+        assert not (tmp_path / "b").exists()
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "encoder", "--out", str(tmp_path / "x")])
