@@ -287,8 +287,10 @@ def select_tokens(trace: EncoderTrace, cfg: ScanConfig) -> TokenSelection:
 def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     """Merge every unselected token into its most similar selected token.
 
-    Each unselected token is assigned to the selected token with the
-    highest cosine similarity (ties go to the lower selected index); each
+    Each unselected token is assigned to the selected token whose
+    ``unit_rows`` vector has the largest exact dot product with its own,
+    ties going to the lower selected index: the pick does not depend on
+    the BLAS build, its kernels or which other tokens are merged. Each
     group is then averaged, unweighted, anchor included. The mean is
     bit-exact: the anchor first, then its unselected tokens in ascending
     order, summed from +0.0, then divided by the group size; a group of
@@ -316,16 +318,98 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     zero = np.flatnonzero(peaks == 0.0)
     if zero.size:
         raise DegenerateInputError(f"zero-norm embedding at token {int(zero[0])}")
-    # emb[...] gathers copies, which unit_rows may normalise in place
-    sims = unit_rows(emb[unsel]) @ unit_rows(emb[sel]).T
-    nearest = sims.argmax(axis=1)  # first max = lowest selected index
-    del sims  # so the grouping's buffers do not raise the peak
+    nearest = _nearest_anchors(emb, unsel, sel)
     assignment = dict(zip(unsel.tolist(), sel[nearest].tolist()))
     return dataclasses.replace(
         selection,
         merge_assignment=assignment,
         merged_embeddings=_group_means(emb, sel, unsel, nearest),
     )
+
+
+def _nearest_anchors(emb, unsel, sel) -> np.ndarray:
+    """For each row of ``emb[unsel]``, the position in ``sel`` of the row of
+    ``emb[sel]`` with the largest exact dot product of ``unit_rows``
+    vectors, the first on ties.
+
+    A float32 product screens every pair. A row with more than one anchor
+    near its maximum is screened again over those candidates in float64,
+    and decided exactly if that leaves more than one.
+    """
+    k = emb.shape[1]
+    near = _near_max(_unit_f32(emb, unsel) @ _unit_f32(emb, sel).T,
+                     _screen_error(k, np.float32))
+    nearest = near.argmax(axis=1)  # a row's first candidate; rows with more below
+    rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+    if rows.size:
+        near = near[rows]
+        cols = np.flatnonzero(near.any(axis=0))
+        # emb[...] gathers copies, which unit_rows normalises in place
+        us, vs = unit_rows(emb[unsel[rows]]), unit_rows(emb[sel[cols]])
+        # an anchor equal to an earlier one ties with it exactly, and every
+        # exact maximum is a candidate: so only the first of equal anchors
+        # stays one
+        first = {}
+        own = np.array([first.setdefault(v.tobytes(), j) == j for j, v in enumerate(vs)])
+        sims = np.where(near[:, cols] & own, us @ vs.T, -np.inf)
+        near = _near_max(sims, _screen_error(k, np.float64))
+        nearest[rows] = cols[near.argmax(axis=1)]
+        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+            cand = np.flatnonzero(near[i])
+            nearest[rows[i]] = cols[cand[_exact_argmax(us[i], vs[cand])]]
+    return nearest
+
+
+def _unit_f32(emb, idx) -> np.ndarray:
+    """``unit_rows(emb[idx])`` rounded to float32, normalised 128 rows at a
+    time so that no float64 copy of them all is made."""
+    out = np.empty((idx.size, emb.shape[1]), dtype=np.float32)
+    for i in range(0, idx.size, 128):
+        out[i:i + 128] = unit_rows(emb[idx[i:i + 128]])
+    return out
+
+
+def _near_max(sims: np.ndarray, e: float) -> np.ndarray:
+    """Where ``sims`` is within 2e of its maximum along the last axis. If
+    each value is within e of an exact dot, every exact maximum is there."""
+    top = sims.max(axis=-1, keepdims=True).astype(np.float64)
+    return sims >= top - 2.0 * e  # float32 values compare as float64, exactly
+
+
+# The screen's error. Let a, b be unit_rows rows of length K, s = sum a_i b_i
+# their exact dot, u the unit roundoff of the screen's dtype (2**-24 for
+# float32, 2**-53 for float64), l its smallest normal and gamma_n = n u /
+# (1 - n u) (Higham, "Accuracy and Stability of Numerical Algorithms", ch.
+# 3). A float32 screen first casts a_i and b_i, multiplying each by (1 + d),
+# |d| <= u. A dot of K terms, summed in any order, with or without FMA, is
+# within gamma_K sum|a_i b_i| of the exact dot of its operands. So the
+# screen is within gamma_{K+2} sum|a_i b_i| of s, and sum|a_i b_i| <= |a| |b|,
+# where a unit_rows norm is 1 to within (K + 3) 2**-53 < 2**-28:
+# gamma_{K+3} covers that. One more u covers the float64 rounding of the
+# threshold max - 2e. Underflow adds an absolute error: each of the K terms
+# loses at most l (times a factor of magnitude < 2) in each of its two
+# casts, and l in its product and in its partial sum, whether the
+# arithmetic underflows gradually or flushes to zero: under 8 K l in all.
+def _screen_error(k: int, dtype) -> float:
+    """A bound on |screen - exact dot| of two ``unit_rows`` rows of length
+    ``k`` in ``dtype``; infinite, so every anchor is a candidate, once
+    k + 4 >= 2**23."""
+    info = np.finfo(dtype)
+    n = (k + 4) * float(info.eps) / 2
+    return n / (1.0 - n) + 8 * k * float(info.smallest_normal) if k + 4 < 2**23 else math.inf
+
+
+def _exact_argmax(u: np.ndarray, vs: np.ndarray) -> int:
+    """The first index of the largest exact ``u @ v`` over the rows of ``vs``.
+
+    Every float64 is n / d with d a power of two, so scaling all of them by
+    the largest d makes them integers, and the dots are summed exactly.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in np.vstack([u, vs]).tolist()]
+    top = max(d for row in ratios for _, d in row).bit_length()
+    iu, *ivs = [[n << (top - d.bit_length()) for n, d in row] for row in ratios]
+    dots = [sum(map(int.__mul__, iu, iv)) for iv in ivs]
+    return dots.index(max(dots))
 
 
 def _group_means(emb, sel, unsel, nearest) -> np.ndarray:

@@ -119,17 +119,20 @@ def _unit_peaks(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Divide the rows of a C-order float64 array, none all zero, by their
-    L2 norms, in place; returns ``rows``. A row whose plain norm underflows
-    to 0 or overflows is first put through ``_unit_peaks``; every other row
-    keeps its plain norm's rounding, which merge ties are pinned to."""
+    L2 norms, in place; returns ``rows``. A row whose peak's square is
+    subnormal (peak below 2**-511), or whose plain norm overflows, is first
+    put through ``_unit_peaks``; every other row keeps its plain norm's
+    rounding, which the generator's bytes are pinned to. Each row's result
+    depends on that row alone, not on the others in ``rows``."""
     # norms of blocks of rows: the same values, without a buffer of squares
     # as large as ``rows``
     with np.errstate(over="ignore"):  # an overflowed norm is redone below
         norms = np.concatenate([np.linalg.norm(rows[i:i + 128], axis=1, keepdims=True)
                                 for i in range(0, len(rows), 128)])
-    lost = ((norms == 0.0) | (norms == np.inf)).ravel()
+    peaks = row_peaks(rows)
+    lost = (norms.ravel() == np.inf) | (peaks < 2.0**-511)
     if lost.any():
-        rows[lost] = _unit_peaks(rows[lost], row_peaks(rows[lost]))
+        rows[lost] = _unit_peaks(rows[lost], peaks[lost])
         norms[lost] = np.linalg.norm(rows[lost], axis=1, keepdims=True)
     rows /= norms
     return rows

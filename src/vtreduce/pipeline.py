@@ -109,12 +109,16 @@ def run_pipeline(cfg: dict):
             cfg["encoder_trace"], layers=scan_cfg.read_layers
         )
         scan_cfg = scan_cfg.on_read_layers(encoder)
-        decoder = trace_io.read_decoder_bundle(cfg["decoder_trace"])
-        if decoder.n_layers != dims.n_layers:
-            raise ConfigError(
-                "decoder_trace",
-                f"trace has {decoder.n_layers} layers, n_layers says {dims.n_layers}",
-            )
+
+        def prune_layer_only(stack, n_layers):
+            if n_layers != dims.n_layers:
+                raise ConfigError(
+                    "decoder_trace",
+                    f"trace has {n_layers} layers, n_layers says {dims.n_layers}",
+                )
+            return (cfg["prune_layer"],)
+        # and of the decoder only the pruning layer, which scores as layer 1
+        decoder = trace_io.read_decoder_bundle(cfg["decoder_trace"], layers=prune_layer_only)
 
     with _stage("encoder-scan"):
         selection = encoder_scan.select_tokens(encoder, scan_cfg)
@@ -130,7 +134,7 @@ def run_pipeline(cfg: dict):
             )
 
     with _stage("decoder-scores"):
-        scores = decoder_prune.text_attention_scores(decoder, cfg["prune_layer"])
+        scores = decoder_prune.text_attention_scores(decoder, 1)
 
     with _stage("prune"):
         profile = decoder_prune.prune_at_layer(scores, prune_cfg, n_merged)

@@ -540,8 +540,10 @@ def read_encoder_bundle(path, layers=None) -> EncoderTrace:
     return _read_bundle(path, "encoder", layers)
 
 
-def read_decoder_bundle(path) -> DecoderTrace:
-    return _read_bundle(path, "decoder")
+def read_decoder_bundle(path, layers=None) -> DecoderTrace:
+    """Read a decoder bundle, by default every layer; ``layers`` selects
+    layers of ``last_instr_attention`` as in ``read_encoder_bundle``."""
+    return _read_bundle(path, "decoder", layers)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +587,14 @@ def generate_synthetic_encoder(
         raise TraceError("all generator dims must be >= 1")
     _check_finite("locality", locality_strength)
     n = grid_h * grid_w
+    if include_self_attention:
+        dist = _chebyshev_distances(grid_h, grid_w)
+        weights = [locality_strength * (n_layers - 1 - i) / (n_layers - 1)
+                   if n_layers > 1 else 0.0 for i in range(n_layers)]
+        reach = float(dist.max())  # a Python float overflows without a warning
+        if not all(math.isfinite(w * reach) for w in weights):
+            raise ConfigError("locality", f"too large: a layer's weight times the "
+                              f"grid distance overflows, got {locality_strength}")
     rng = Xoshiro256(seed)
 
     # the logits, each layer softmaxed in place
@@ -598,12 +608,7 @@ def generate_synthetic_encoder(
         self_attn = rng.normals(n_layers * n_heads * n * n).reshape(
             n_layers, n_heads, n, n
         )
-        dist = _chebyshev_distances(grid_h, grid_w)
-        for i in range(n_layers):
-            if n_layers > 1:
-                weight = locality_strength * (n_layers - 1 - i) / (n_layers - 1)
-            else:
-                weight = 0.0
+        for i, weight in enumerate(weights):
             for h in range(n_heads):
                 self_attn[i, h] = softmax_rows(self_attn[i, h] - weight * dist)
 

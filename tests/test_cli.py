@@ -98,6 +98,16 @@ class TestGen:
         assert err == f"error[gen]: {field}: must be finite, got {value}\n"
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("grid", ["4x4", "1x1"])
+    def test_overflowing_locality_named(self, capsys, tmp_path, grid):
+        # finite, but the layer weight times the grid distance overflows
+        code, _, err = run(capsys, "gen", "--kind", "encoder", "--seed", "1", "--grid",
+                           grid, "--layers", "3", "--locality", "1e308", "--out", tmp_path / "b")
+        assert code == 1
+        assert err == ("error[gen]: locality: too large: a layer's weight times the "
+                       "grid distance overflows, got 1e+308\n")
+        assert not (tmp_path / "b").exists()
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "encoder", "--out", str(tmp_path / "x")])

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from vtreduce import (
     round_half_up,
     select_tokens,
 )
+from vtreduce import encoder_scan
 from vtreduce.encoder_scan import selection_report, stage1_budgets, write_selection
+from vtreduce.numerics import unit_rows
 
 
 def make_cls_trace(cls_rows, grid_h, grid_w, embed_dim=4):
@@ -337,16 +340,28 @@ class TestMergeTokens:
         assert selection_report(sel)["n_tokens"] == 9
 
 
+def exact_nearest(emb, selected, rows):
+    """Brute force: for each row, the selected token whose ``unit_rows``
+    vector has the largest exact (Fraction) dot product with the row's,
+    the lowest selected index on ties."""
+    unit = unit_rows(np.array(emb, dtype=np.float64))
+    anchors = [[Fraction(x) for x in unit[s].tolist()] for s in selected]
+    picks = []
+    for r in rows:
+        row = [Fraction(x) for x in unit[r].tolist()]
+        dots = [sum(a * x for a, x in zip(anchor, row)) for anchor in anchors]
+        picks.append(selected[dots.index(max(dots))])
+    return picks
+
+
 def seed_merge(emb, selected):
-    """Reference: the original merge, one emb[group].mean(axis=0) per group."""
+    """Reference: the exact nearest anchor, then the original merge, one
+    emb[group].mean(axis=0) per group."""
     sel = np.asarray(selected)
     unsel = np.asarray(sorted(set(range(emb.shape[0])) - set(selected)), dtype=int)
     if unsel.size == 0:
         return {}, emb[sel].copy()
-    norms = np.linalg.norm(emb, axis=1)
-    unit = emb / norms[:, None]
-    nearest = (unit[unsel] @ unit[sel].T).argmax(axis=1)
-    assignment = {int(u): int(sel[j]) for u, j in zip(unsel, nearest)}
+    assignment = dict(zip(unsel.tolist(), exact_nearest(emb, selected, unsel.tolist())))
     merged = np.empty((sel.size, emb.shape[1]))
     for row, s in enumerate(sel):
         group = [int(s)] + [u for u, tgt in assignment.items() if tgt == s]
@@ -384,6 +399,39 @@ def _one_anchor_case(n, d, anchor):
     return emb, sorted({anchor, other})
 
 
+def _duplicate_anchor_case(n, d, n_anchors):
+    """Gaussian rows; the last anchor is a bitwise copy of the first, so
+    their columns lie in different tiles of a GEMM, and a tenth of the
+    rows lie near that anchor."""
+    rng = np.random.default_rng(n + d + n_anchors)
+    emb = rng.standard_normal((n, d))
+    selected = sorted(rng.choice(n, n_anchors, replace=False).tolist())
+    emb[selected[-1]] = emb[selected[0]]
+    unsel = sorted(set(range(n)) - set(selected))
+    near = rng.choice(unsel, n // 10, replace=False)
+    emb[near] = emb[selected[0]] + 0.5 * rng.standard_normal((near.size, d))
+    return emb, selected
+
+
+# rows 0 and 1 are anchors; row 2's exact dot with row 1 exceeds that with
+# row 0 by about 4e-26, but both round to 1.0 in float64
+_NEAR_TIE = (np.array([[8.0, 6.0, 8.0]]) + np.array([[-1, -2, 0], [3, -1, 3], [0, 0, 0]])
+             * 2.0**-26, [0, 1])
+# rows 0 and 1 are anchors; row 2 lies nearer row 0 exactly, but the float32
+# screen (here: of these 2-dim rows) ranks row 1 first, by less than its
+# bound
+_F32_MISORDER = (np.array([[3.0, 2.0]]) + np.array([[-1, 2], [3, 2], [1, -1]]) * 2.0**-26,
+                 [0, 1])
+# row 2 equals row 0, but a float64 dot (here: of these 5-dim rows) ranks
+# row 1 first
+_F64_MISORDER = (np.array([[-2.0, -1.0, 2.0, 2.0, 1.0]])
+                 + np.array([[0, 1, 0, 0, 0], [0, 0, 0, 0, -1], [0, 1, 0, 0, 0]]) * 2.0**-53,
+                 [0, 1])
+# the products of the second entries underflow: row 2's exact dot with row 1
+# is 1 + 2**-1200, with row 0 just 1
+_UNDERFLOW = (np.array([[1.0, 0.0], [1.0, 2.0**-600], [1.0, 2.0**-600]]), [0, 1])
+
+
 class TestMergeMatchesSeed:
     @settings(max_examples=300, deadline=None)
     @given(merge_cases())
@@ -392,12 +440,70 @@ class TestMergeMatchesSeed:
     @example((np.array([[2.0, -0.0], [-0.0, 3.0]]), [0, 1]))
     @example(_one_anchor_case(300, 3, 7))
     @example(_one_anchor_case(60, 1024, 0))
+    @example(_duplicate_anchor_case(40, 12, 13))
+    @example(_duplicate_anchor_case(37, 9, 7))
+    @example(_duplicate_anchor_case(100, 16, 33))
+    @example(_NEAR_TIE)
+    @example(_UNDERFLOW)
+    @example(_F32_MISORDER)
+    @example(_F64_MISORDER)
     def test_byte_identical(self, case):
         emb, selected = case
         want_assignment, want = seed_merge(emb, selected)
         got = merge_tokens(emb, select_stub(emb.shape[0], selected))
         assert list(got.merge_assignment.items()) == list(want_assignment.items())
         assert got.merged_embeddings.tobytes() == want.tobytes()
+
+    def test_duplicate_anchor_gets_no_token(self):
+        # pipeline-next-sweep scale: the two copies have equal exact dots
+        # with every row, so the lower one wins every such row
+        emb, selected = _duplicate_anchor_case(2880, 1024, 959)
+        got = merge_tokens(emb, select_stub(2880, selected)).merge_assignment
+        targets = list(got.values())
+        assert targets.count(selected[0]) >= 280
+        assert selected[-1] not in targets
+
+    def test_equal_anchors_need_no_exact_arithmetic(self, monkeypatch):
+        # padding-like input: 5 anchors and 45 other tokens are one vector
+        emb = np.zeros((55, 8))
+        emb[:50] = [3.0, 1.0, -2.0, 0.5, 0.0, 0.0, 0.0, 0.0]
+        emb[50:, 3:] = np.eye(5)
+        monkeypatch.setattr(encoder_scan, "_exact_argmax", None)  # calling it fails
+        got = merge_tokens(emb, select_stub(55, [0, 1, 2, 3, 4, 50, 51, 52, 53, 54]))
+        assert set(got.merge_assignment.values()) == {0}
+
+    @pytest.mark.parametrize("case", [_NEAR_TIE, _UNDERFLOW], ids=["near-tie", "underflow"])
+    def test_exact_winner_beyond_float64_dots(self, case):
+        emb, selected = case
+        unit = unit_rows(emb.copy())
+        assert unit[0] @ unit[2] == unit[1] @ unit[2]  # float64 cannot tell
+        assert merge_tokens(emb, select_stub(3, selected)).merge_assignment == {2: 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([1.0, -0.5, 3.0, 0.0, 2.0**-600]), min_size=1, max_size=6),
+           st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6), min_size=1,
+                    max_size=5),
+           st.sampled_from([-60, -53, -40, -700]))
+    def test_exact_argmax_of_near_parallel_rows(self, u, nudges, exp):
+        # rows u + nudge * 2**exp: exact dots closer than float64 can tell,
+        # and products that underflow
+        u = np.array(u)
+        vs = u + np.ldexp(np.array(nudges, dtype=float)[:, :u.size], exp)
+        dots = [sum(Fraction(a) * Fraction(b) for a, b in zip(u.tolist(), v)) for v in vs.tolist()]
+        assert encoder_scan._exact_argmax(u, vs) == dots.index(max(dots))
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(), st.lists(st.booleans(), min_size=300, max_size=300))
+    @example(_duplicate_anchor_case(100, 16, 33), [True, False, False] * 100)
+    def test_pick_independent_of_other_rows(self, case, keep):
+        # merging a subset of the unselected rows gives each the same pick
+        emb, selected = case
+        full = merge_tokens(emb, select_stub(emb.shape[0], selected)).merge_assignment
+        rows = sorted(set(selected) | {u for u in full if keep[u]})
+        pos = {r: i for i, r in enumerate(rows)}
+        part = merge_tokens(emb[rows], select_stub(len(rows), [pos[s] for s in selected]))
+        for i, target in part.merge_assignment.items():
+            assert full[rows[i]] == rows[target]
 
     def test_single_anchor_takes_every_token(self):
         emb, selected = _one_anchor_case(300, 3, 7)
@@ -426,16 +532,15 @@ class TestMergeMatchesSeed:
     @settings(max_examples=100, deadline=None)
     @given(merge_cases(), st.lists(st.integers(-1000, 1000), min_size=40, max_size=40))
     @example((np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.1]]), [0, 1]), [0] * 40)
+    @example((np.array([[-0.0, -3.25, -3.25], [-3.25, -3.25, -3.25], [-3.25, -3.25, -3.25]]),
+              [0, 1]), [0, -539, 0] + [0] * 37)
     def test_target_is_a_cosine_argmax(self, case, exponents):
         # rows scaled by powers of two up to 2**+-1000: merge's similarities
         # must agree with cosine_similarity on the same rows. A row scaled
-        # down to zero has no direction. A row whose peak's square is
-        # subnormal keeps its plain norm's rounding in merge, which the seed
-        # reference above pins, so merge can miss the best cosine there
+        # down to zero has no direction
         emb, selected = case
         emb = np.ldexp(emb, np.array(exponents[: emb.shape[0]])[:, None])
-        peaks = np.abs(emb).max(axis=1)
-        if not peaks.all() or ((peaks >= 2.0**-538) & (peaks < 2.0**-510)).any():
+        if not np.abs(emb).max(axis=1).all():
             return
         got = merge_tokens(emb, select_stub(emb.shape[0], selected))
         for u, target in got.merge_assignment.items():

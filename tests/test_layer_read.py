@@ -1,4 +1,5 @@
-"""The `pipeline` load stage reads only the encoder layers its scan scores.
+"""The `pipeline` load stage reads only the encoder layers its scan scores,
+and only the pruning layer of the decoder.
 
 Every layer file of both stacks is still checked by header, size and shape;
 the values (finiteness, row sums) only of the layers read. The reference is
@@ -23,6 +24,7 @@ from vtreduce import (
     TraceError,
     encoder_scan,
     generate_synthetic_encoder,
+    read_decoder_bundle,
     read_encoder_bundle,
     run_pipeline,
     trace_io,
@@ -64,8 +66,9 @@ def eager_artifacts(cfg, monkeypatch):
 
 
 def layer_files(root, stack):
-    manifest = json.loads((root / "enc" / "manifest.json").read_text())
-    return [root / "enc" / name for name in manifest["files"][stack]]
+    bundle = root / ("dec" if stack == "last_instr_attention" else "enc")
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    return [bundle / name for name in manifest["files"][stack]]
 
 
 def set_last_value(path, value):
@@ -104,12 +107,8 @@ def test_artifacts_match_the_eager_read(tmp_path, monkeypatch, source, local_lay
     assert artifacts(cfg["out_dir"]) == eager_artifacts(cfg, monkeypatch)
 
 
-@pytest.mark.parametrize("source, stack, scored", [
-    ("self_avg", "self_attention", [2, 3]),  # default output: the penultimate
-    ("cls", "cls_attention", [2, 3]),
-])
-def test_only_the_scored_layers_are_read(tmp_path, monkeypatch, source, stack, scored):
-    make_world(tmp_path)
+def payload_reads(monkeypatch):
+    """The names of the files whose payloads are read from now on, in order."""
     read = []
     real = trace_io._read_payload
 
@@ -117,28 +116,64 @@ def test_only_the_scored_layers_are_read(tmp_path, monkeypatch, source, stack, s
         read.append(Path(fh.name).name)
         real(fh, code, out)
     monkeypatch.setattr(trace_io, "_read_payload", spy)
+    return read
+
+
+@pytest.mark.parametrize("source, stack, scored", [
+    ("self_avg", "self_attention", [2, 3]),  # default output: the penultimate
+    ("cls", "cls_attention", [2, 3]),
+])
+def test_only_the_scored_layers_are_read(tmp_path, monkeypatch, source, stack, scored):
+    make_world(tmp_path)
+    read = payload_reads(monkeypatch)
     run_pipeline(world_cfg(tmp_path, score_source=source))
     files = layer_files(tmp_path, stack)
     encoder_reads = [name for name in read if name.startswith(("cls", "self", "emb"))]
     assert encoder_reads == ["embeddings.vscn", *(files[i - 1].name for i in scored)]
+    assert [name for name in read if name.startswith("layer")] == ["layer_01.vscn"]
 
 
-@pytest.mark.parametrize("where", ["unread layer", "other stack"])
+# where -> (stack, 1-based layer) of a layer `pipeline` does not read
+_UNREAD = {"unread layer": ("self_attention", 4), "other stack": ("cls_attention", 2),
+           "unread decoder layer": ("last_instr_attention", 4)}
+
+
+@pytest.mark.parametrize("where", list(_UNREAD))
 @pytest.mark.parametrize("fault", ["nan", "row sum"])
 def test_values_of_unread_layers_are_not_checked(tmp_path, monkeypatch, where, fault):
     make_world(tmp_path)
-    cfg = world_cfg(tmp_path)  # self_avg, scores self layers 2 and 3
+    cfg = world_cfg(tmp_path)  # self_avg, scores self layers 2 and 3; prunes at 2
     run_pipeline(cfg)
     clean = artifacts(cfg["out_dir"])
-    target = layer_files(tmp_path, "self_attention")[3] if where == "unread layer" \
-        else layer_files(tmp_path, "cls_attention")[1]
+    stack, layer = _UNREAD[where]
+    target = layer_files(tmp_path, stack)[layer - 1]
     value = math.nan if fault == "nan" else last_value(target) + 0.5
     set_last_value(target, value)
     run_pipeline(cfg)
     assert artifacts(cfg["out_dir"]) == clean
     error = DegenerateInputError if fault == "nan" else TraceError
-    with pytest.raises(error):
-        read_encoder_bundle(tmp_path / "enc")  # the public reader checks every layer
+    with pytest.raises(error):  # the public readers check every layer
+        if stack == "last_instr_attention":
+            read_decoder_bundle(tmp_path / "dec")
+        else:
+            read_encoder_bundle(tmp_path / "enc")
+
+
+def test_decoder_depth_named_before_its_payloads_are_read(tmp_path, monkeypatch):
+    make_world(tmp_path)
+    read = payload_reads(monkeypatch)
+    with pytest.raises(ConfigError, match="^decoder_trace: trace has 4 layers, "
+                       "n_layers says 5$") as exc:
+        run_pipeline(world_cfg(tmp_path, n_layers=5))
+    assert exc.value.stage == "load-traces"
+    assert not [name for name in read if name.startswith("layer")]
+
+
+def test_unread_decoder_layer_with_a_bad_size_fails(tmp_path):
+    make_world(tmp_path)
+    last = layer_files(tmp_path, "last_instr_attention")[3]
+    last.write_bytes(last.read_bytes()[:-3])
+    fails_at_load(world_cfg(tmp_path), FormatError, "truncated payload")
 
 
 def fails_at_load(cfg, error, match):

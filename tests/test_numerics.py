@@ -16,6 +16,7 @@ from vtreduce import (
     softmax_rows,
     top_k_indices,
 )
+from vtreduce.numerics import unit_rows
 
 finite_floats = st.floats(min_value=-50, max_value=50)
 
@@ -157,6 +158,19 @@ class TestCosine:
         assert ab == pytest.approx(cosine_similarity(vb, va), abs=1e-12)
         assert ab == pytest.approx(cosine_similarity(va * scale, vb), abs=1e-12)
         assert -1.0 <= ab <= 1.0
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("exp", [-1070, -600, -539, -512, -511, 0, 500])
+    def test_scale_free_and_row_by_row(self, exp):
+        # power-of-two scaling keeps every bit, also for rows whose squares
+        # are subnormal; and a row comes out the same alone or in a stack
+        rows = np.array([[-3.25, -3.25, -3.25], [-0.0, -3.25, -3.25], [1.0, 0.5, 7.0]])
+        want = unit_rows(rows.copy())
+        scaled = np.ldexp(rows, exp)
+        assert unit_rows(scaled.copy()).tobytes() == want.tobytes()
+        for row, w in zip(scaled, want):
+            assert unit_rows(row[None].copy())[0].tobytes() == w.tobytes()
 
 
 def test_round_half_up():
