@@ -52,7 +52,6 @@ from .errors import (
 from .numerics import (
     cosine_similarity,
     round_half_up,
-    scaled_attention,
     softmax_rows,
     top_k_indices,
 )

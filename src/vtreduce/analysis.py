@@ -65,9 +65,7 @@ def position_bias_histogram(
     scores = text_attention_scores(trace, layer)
     budget = round_half_up(retention * trace.n_visual)
     retained = top_k_indices(scores, budget)
-    counts = np.zeros((grid_h, grid_w), dtype=np.int64)
-    for idx in retained:
-        counts[idx // grid_w, idx % grid_w] += 1
+    counts = np.bincount(retained, minlength=grid_h * grid_w).reshape(grid_h, grid_w)
     return BiasHistogram(
         layer=layer, retention=retention, counts=counts, retained=retained
     )

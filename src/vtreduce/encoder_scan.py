@@ -171,11 +171,6 @@ def global_scan(scores, budget: int, excluded=()) -> list[int]:
     return sorted(candidates[i] for i in picked)
 
 
-def _split_extent(extent: int, parts: int) -> list[int]:
-    base, rem = divmod(extent, parts)
-    return [base + 1] * rem + [base] * (parts - rem)
-
-
 def partition_windows(
     grid_h: int, grid_w: int, window_rows: int, window_cols: int
 ) -> list[list[int]]:
@@ -186,27 +181,14 @@ def partition_windows(
     as an ascending list of row-major token indices.
     """
     if not 1 <= window_rows <= grid_h:
-        raise ConfigError(
-            "window_rows", f"must be in [1, {grid_h}], got {window_rows}"
-        )
+        raise ConfigError("window_rows", f"must be in [1, {grid_h}], got {window_rows}")
     if not 1 <= window_cols <= grid_w:
-        raise ConfigError(
-            "window_cols", f"must be in [1, {grid_w}], got {window_cols}"
-        )
-    row_sizes = _split_extent(grid_h, window_rows)
-    col_sizes = _split_extent(grid_w, window_cols)
-    row_starts = np.concatenate([[0], np.cumsum(row_sizes)])
-    col_starts = np.concatenate([[0], np.cumsum(col_sizes)])
-    windows = []
-    for wr in range(window_rows):
-        for wc in range(window_cols):
-            tokens = [
-                r * grid_w + c
-                for r in range(row_starts[wr], row_starts[wr + 1])
-                for c in range(col_starts[wc], col_starts[wc + 1])
-            ]
-            windows.append(tokens)
-    return windows
+        raise ConfigError("window_cols", f"must be in [1, {grid_w}], got {window_cols}")
+    return [
+        (r[:, None] * grid_w + c).ravel().tolist()
+        for r in np.array_split(np.arange(grid_h), window_rows)
+        for c in np.array_split(np.arange(grid_w), window_cols)
+    ]
 
 
 def _window_budgets(caps: list[int], budget: int) -> list[int]:
@@ -220,16 +202,12 @@ def _window_budgets(caps: list[int], budget: int) -> list[int]:
     base, rem = divmod(budget, w)
     alloc = [0] * w
     surplus = 0
-    for i in range(w):
-        desired = base + (1 if i < rem else 0) + surplus
-        alloc[i] = min(desired, caps[i])
-        surplus = desired - alloc[i]
-    i = 0
-    while surplus > 0 and i < w:
-        extra = min(surplus, caps[i] - alloc[i])
-        alloc[i] += extra
-        surplus -= extra
-        i += 1
+    for j in range(2 * w):  # round two places what is left, from window 0
+        i = j % w
+        share = base + (i < rem) if j < w else 0
+        take = min(share + surplus, caps[i] - alloc[i])
+        alloc[i] += take
+        surplus += share - take
     return alloc
 
 
@@ -240,12 +218,8 @@ def local_scan(scores, windows: list[list[int]], budget: int) -> list[int]:
     if budget > total:
         raise BudgetError(f"local budget {budget} exceeds {total} tokens")
     budgets = _window_budgets([len(w) for w in windows], budget)
-    picked: list[int] = []
-    for tokens, m in zip(windows, budgets):
-        idx = np.asarray(tokens)
-        for t in top_k_indices(arr[idx], m):
-            picked.append(int(idx[t]))
-    return sorted(picked)
+    return sorted(int(tokens[t]) for tokens, m in zip(windows, budgets)
+                  for t in top_k_indices(arr[tokens], m))
 
 
 def _ceil_guarded(x: float) -> int:
@@ -268,10 +242,8 @@ def select_tokens(trace: EncoderTrace, cfg: ScanConfig) -> TokenSelection:
     """Run the local scan, then the global scan with local tokens excluded."""
     n = trace.n_tokens
     local_layer, output_layer = cfg.layers(trace.n_layers)
-    windows = partition_windows(
-        trace.grid_h, trace.grid_w, cfg.window_rows, cfg.window_cols
-    )
-    total, budget_g, budget_l = stage1_budgets(n, cfg.retention, cfg.global_fraction)
+    windows = partition_windows(trace.grid_h, trace.grid_w, cfg.window_rows, cfg.window_cols)
+    _, budget_g, budget_l = stage1_budgets(n, cfg.retention, cfg.global_fraction)
     local_scores = head_averaged_scores(trace, local_layer, cfg.score_source)
     local = local_scan(local_scores, windows, budget_l)
     global_scores = head_averaged_scores(trace, output_layer, cfg.score_source)
@@ -319,11 +291,15 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     if zero.size:
         raise DegenerateInputError(f"zero-norm embedding at token {int(zero[0])}")
     nearest = _nearest_anchors(emb, unsel, sel)
+    means = _group_means(emb, sel, unsel, nearest)
+    # scan only when unsel.size + 1 peaks, doubled for rounding, can overflow
+    if peaks.max() > np.finfo(np.float64).max / (2 * unsel.size + 2):
+        over = sel[np.isinf(means).any(axis=1)]  # ascending
+        if over.size:
+            raise DegenerateInputError(f"merged embedding of anchor token {over[0]} overflows")
     assignment = dict(zip(unsel.tolist(), sel[nearest].tolist()))
     return dataclasses.replace(
-        selection,
-        merge_assignment=assignment,
-        merged_embeddings=_group_means(emb, sel, unsel, nearest),
+        selection, merge_assignment=assignment, merged_embeddings=means
     )
 
 
@@ -427,9 +403,10 @@ def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
     counts = np.bincount(rows)
     rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     sums = np.zeros((sel.size, emb.shape[1]))
-    for j in range(counts.max()):
-        level = rank == j
-        sums[rows[level]] += emb[members[level]]
+    with np.errstate(over="ignore"):  # merge_tokens reports an overflowed group
+        for j in range(counts.max()):
+            level = rank == j
+            sums[rows[level]] += emb[members[level]]
     sums /= counts[:, None]
     single = counts == 1
     sums[single] = emb[sel[single]]  # a copy keeps -0.0, which 0.0 + x loses

@@ -16,7 +16,6 @@ __all__ = [
     "as_tensor",
     "round_half_up",
     "softmax_rows",
-    "scaled_attention",
     "top_k_indices",
     "cosine_similarity",
 ]
@@ -60,18 +59,6 @@ def softmax_rows(logits) -> np.ndarray:
     shifted = arr - arr.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=1, keepdims=True)
-
-
-def scaled_attention(query, keys) -> np.ndarray:
-    """Softmax(query @ keys.T / sqrt(D)) for query [q, D] and keys [n, D]."""
-    q = as_tensor(query, ndim=2)
-    k = as_tensor(keys, ndim=2)
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(
-            f"query dim {q.shape[1]} does not match key dim {k.shape[1]}"
-        )
-    logits = q @ k.T / math.sqrt(k.shape[1])
-    return softmax_rows(logits)
 
 
 def top_k_indices(scores, k: int) -> list[int]:

@@ -23,6 +23,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -88,8 +89,8 @@ def write_tensor(path, values, dtype: str = "f64") -> None:
 def read_tensor(path) -> np.ndarray:
     """Read a tensor file back as a float64 array (f32 payloads upconvert).
 
-    Raises ``FormatError`` for a malformed file and ``DegenerateInputError``
-    when the payload holds a NaN or an Inf.
+    Raises ``FormatError`` for a malformed file or a symlink, and
+    ``DegenerateInputError`` when the payload holds a NaN or an Inf.
     """
     path = Path(path)
     return as_tensor(_read_stack(path.parent, [path.name])[0])
@@ -144,6 +145,11 @@ def _read_payload(fh, code: int, out: np.ndarray) -> None:
         out[...] = buf
 
 
+def _no_follow(path, flags: int) -> int:
+    """An ``open`` opener that refuses a symlink as the file itself."""
+    return os.open(path, flags | os.O_NOFOLLOW)
+
+
 def _read_stack(base: Path, names: list[str], keep=None) -> np.ndarray:
     """Read same-shape tensor files into a new float64 stack of the files at
     the 0-based, ascending indices ``keep`` (default: every file).
@@ -158,7 +164,7 @@ def _read_stack(base: Path, names: list[str], keep=None) -> np.ndarray:
     try:
         heads = []
         for path in paths:
-            with open(path, "rb") as fh:
+            with open(path, "rb", opener=_no_follow) as fh:
                 heads.append(_read_header(fh))
         shapes = {dims for dims, _ in heads}
         if len(shapes) > 1:
@@ -167,7 +173,7 @@ def _read_stack(base: Path, names: list[str], keep=None) -> np.ndarray:
         stack = np.empty((len(keep), *shapes.pop()))
         for i, layer in zip(keep, stack):
             dims, code = heads[i]
-            with open(paths[i], "rb") as fh:
+            with open(paths[i], "rb", opener=_no_follow) as fh:
                 fh.seek(8 + 8 * len(dims))
                 _read_payload(fh, code, layer)
     except OSError as exc:
@@ -467,12 +473,15 @@ def _write_bundle(trace, out_dir, kind: str) -> Path:
 
 
 def _layer_slots(layers, stack: str, n_layers: int) -> list[int]:
-    """The 0-based slots of the 1-based ``layers(stack, n_layers)``, ascending."""
-    wanted = layers(stack, n_layers)
+    """The 0-based slots of the 1-based ``layers(stack, n_layers)``, ascending.
+    A layer is an integer, numpy's too (``operator.index``), but not a bool."""
+    wanted = list(layers(stack, n_layers))
     for layer in wanted:
-        if not 1 <= layer <= n_layers:
+        if isinstance(layer, bool) or not hasattr(layer, "__index__"):
+            raise TraceError(f"{stack} layer {layer!r} is not an integer")
+        if not 1 <= operator.index(layer) <= n_layers:
             raise TraceError(f"{stack} layer {layer} outside [1, {n_layers}]")
-    return sorted({layer - 1 for layer in wanted})
+    return sorted({operator.index(layer) - 1 for layer in wanted})
 
 
 def _read_bundle(path, kind: str, layers=None):
@@ -481,22 +490,27 @@ def _read_bundle(path, kind: str, layers=None):
     if manifest["kind"] != kind:
         article = "an" if kind == "encoder" else "a"
         raise FormatError(f"expected {article} {kind} bundle, got kind {manifest['kind']!r}")
-    files, values, shapes = manifest["files"], {}, {}
+    files, values, shapes, plan = manifest["files"], {}, {}, {}
     try:
+        # each stack's files and slots to read, settled before any payload is
+        # read; an absent optional stack is the default, None
+        for f in (f for f in fields(cls) if f.name in _STACK_STEMS):
+            names = files[f.name] if f.default is MISSING else files.get(f.name) or []
+            keep = None if layers is None else _layer_slots(layers, f.name, len(names))
+            if names and keep == [] and f.default is MISSING:
+                raise TraceError(f"layers names no {f.name} layer to read")
+            plan[f.name] = names, keep
         # read unchecked: the trace checks every value it holds, once
         for f in fields(cls):
             if f.type is int:
                 values[f.name] = manifest[f.name]
             elif f.name not in _STACK_STEMS:
                 values[f.name] = _read_stack(base, [files[f.name]])[0]
-            else:  # a stack; an absent optional one is the default, None
-                names = files[f.name] if f.default is MISSING else files.get(f.name) or []
-                keep = None if layers is None else _layer_slots(layers, f.name, len(names))
-                if names or f.default is MISSING:
-                    stack = _read_stack(base, names, keep)
-                    shapes[f.name] = (len(names), *stack.shape[1:])
-                    if len(stack):  # else checked by its headers alone, below
-                        values[f.name] = stack
+            elif plan[f.name][0] or f.default is MISSING:
+                stack = _read_stack(base, *plan[f.name])
+                shapes[f.name] = (len(plan[f.name][0]), *stack.shape[1:])
+                if len(stack):  # else checked by its headers alone, below
+                    values[f.name] = stack
         trace = cls(**values)
     except KeyError as exc:
         raise FormatError(f"manifest missing key {exc}") from exc
@@ -531,11 +545,11 @@ def read_encoder_bundle(path, layers=None) -> EncoderTrace:
     """Read an encoder bundle, by default every layer of every stack.
 
     ``layers(stack, n_layers)``, when given, names the 1-based layers to
-    read from each stack field, given how many files the manifest lists for
-    it (0 when the stack is absent); the trace then holds just those layers,
-    ascending and without repeats. Every file's header and size, and the
-    layer and head counts, are checked either way; the values only of the
-    layers read.
+    read from each stack field, as integers, not bools, given how many files
+    the manifest lists for it (0 when the stack is absent); the trace then
+    holds just those layers, ascending and without repeats. Every file's
+    header and size, and the layer and head counts, are checked either way;
+    the values only of the layers read. Tensor files may not be symlinks.
     """
     return _read_bundle(path, "encoder", layers)
 

@@ -23,6 +23,13 @@ class TestBiasHistogram:
         assert np.array_equal(hist.counts, np.ones((3, 4), dtype=int))
         assert hist.retained == list(range(12))
 
+    def test_empty_budget_gives_int_zeros(self):
+        trace = uniform_decoder_trace(2, 1, 3, 12, 3)
+        hist = position_bias_histogram(trace, 1, 0.01, 3, 4)  # 0.12 tokens rounds to 0
+        assert hist.retained == []
+        assert hist.counts.dtype == np.int64
+        assert np.array_equal(hist.counts, np.zeros((3, 4)))
+
     def test_counts_sum_to_budget(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

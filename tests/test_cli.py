@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import uniform_decoder_trace
-from vtreduce import cost_model, write_decoder_bundle
+from vtreduce import cost_model, write_decoder_bundle, write_tensor
 from vtreduce.cli import main
 
 
@@ -325,6 +327,25 @@ class TestPipeline:
         assert code == 1
         assert "last_instr_attention" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_merge_named(self, capsys, small_world):
+        # finite embeddings whose group sums overflow; every token ties, so
+        # all merge into the lowest selected token
+        (small_world / "enc" / "embeddings.vscn").unlink()
+        write_tensor(small_world / "enc" / "embeddings.vscn", np.full((36, 8), 1e308))
+        code, _, err = run(
+            capsys, "pipeline",
+            "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec",
+            "--retention", "0.5", "--local-layer", "1",
+            "--window-rows", "2", "--window-cols", "2",
+            "--n-layers", "4", "--hidden-size", "32", "--ffn-size", "64",
+            "--out", small_world / "run",
+        )
+        assert code == 1
+        assert re.fullmatch(r"pipeline failed at stage 'merge': "
+                            r"merged embedding of anchor token \d+ overflows\n", err)
+
     def test_visual_count_mismatch_named(self, capsys, small_world):
         code, _, err = run(
             capsys, "pipeline",
@@ -556,6 +577,16 @@ class TestAnalyze:
                            "--trace", tmp_path / "dec")
         assert code == 1
         assert "magic" in err
+
+    def test_linked_layer_file_refused(self, capsys, tmp_path):
+        for name in ("dec", "other"):
+            write_decoder_bundle(uniform_decoder_trace(2, 1, 1, 4, 1), tmp_path / name)
+        (tmp_path / "dec" / "layer_00.vscn").unlink()
+        (tmp_path / "dec" / "layer_00.vscn").symlink_to(Path("..", "other", "layer_00.vscn"))
+        code, out, err = run(capsys, "analyze", "attention-sum", "--trace", tmp_path / "dec")
+        assert (code, out) == (1, "")
+        assert err.startswith("error[analyze]: cannot read tensor file: ")
+        assert "layer_00.vscn" in err
 
     def test_manifest_files_not_an_object(self, capsys, tmp_path):
         trace = uniform_decoder_trace(2, 1, 1, 4, 1)

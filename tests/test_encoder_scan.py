@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -115,6 +116,85 @@ class TestPartitionWindows:
     def test_window_grid_too_large(self):
         with pytest.raises(ConfigError):
             partition_windows(3, 3, 4, 2)
+
+
+# The window partition and budget placement as they were written with
+# explicit index arithmetic: the references for the numpy versions.
+
+
+def reference_partition_windows(grid_h, grid_w, window_rows, window_cols):
+    def split(extent, parts):
+        base, rem = divmod(extent, parts)
+        return [base + 1] * rem + [base] * (parts - rem)
+
+    if not 1 <= window_rows <= grid_h:
+        raise ConfigError("window_rows", f"must be in [1, {grid_h}], got {window_rows}")
+    if not 1 <= window_cols <= grid_w:
+        raise ConfigError("window_cols", f"must be in [1, {grid_w}], got {window_cols}")
+    row_starts = np.concatenate([[0], np.cumsum(split(grid_h, window_rows))])
+    col_starts = np.concatenate([[0], np.cumsum(split(grid_w, window_cols))])
+    windows = []
+    for wr in range(window_rows):
+        for wc in range(window_cols):
+            windows.append([
+                r * grid_w + c
+                for r in range(row_starts[wr], row_starts[wr + 1])
+                for c in range(col_starts[wc], col_starts[wc + 1])
+            ])
+    return windows
+
+
+def reference_window_budgets(caps, budget):
+    w = len(caps)
+    base, rem = divmod(budget, w)
+    alloc = [0] * w
+    surplus = 0
+    for i in range(w):
+        desired = base + (1 if i < rem else 0) + surplus
+        alloc[i] = min(desired, caps[i])
+        surplus = desired - alloc[i]
+    i = 0
+    while surplus > 0 and i < w:
+        extra = min(surplus, caps[i] - alloc[i])
+        alloc[i] += extra
+        surplus -= extra
+        i += 1
+    return alloc
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        return type(exc), str(exc), exc.field
+
+
+class TestMatchesReference:
+    def test_every_small_grid_and_window_grid(self):
+        for gh, gw in itertools.product(range(1, 13), repeat=2):
+            for wr, wc in itertools.product(range(0, gh + 2), range(0, gw + 2)):
+                got = outcome(partition_windows, gh, gw, wr, wc)
+                assert got == outcome(reference_partition_windows, gh, gw, wr, wc)
+                assert all(type(t) is int for w in got if isinstance(w, list) for t in w)
+
+    def test_large_grid(self):
+        assert partition_windows(48, 60, 4, 4) == reference_partition_windows(48, 60, 4, 4)
+
+    def test_every_small_budget(self):
+        for w in range(1, 6):
+            for caps in itertools.product(range(5), repeat=w):
+                for budget in range(sum(caps) + 1):
+                    got = encoder_scan._window_budgets(list(caps), budget)
+                    assert got == reference_window_budgets(list(caps), budget)
+
+    def test_random_budgets(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            caps = rng.integers(0, 50, size=int(rng.integers(1, 41))).tolist()
+            budget = int(rng.integers(0, sum(caps) + 1))
+            got = encoder_scan._window_budgets(caps, budget)
+            assert got == reference_window_budgets(caps, budget)
+            assert sum(got) == budget and all(0 <= a <= c for a, c in zip(got, caps))
 
 
 class TestLocalScan:
@@ -323,6 +403,22 @@ class TestMergeTokens:
             warnings.simplefilter("error")
             merged = merge_tokens(emb, select_stub(4, [0, 1]))
         assert merged.merge_assignment == {2: 0, 3: 1}
+
+    def test_overflowing_group_mean_named(self):
+        # tokens 3 and 4 merge into anchor 1, whose sum overflows; anchor 2's
+        # group of one does not
+        emb = np.array([[0.0, 1.0], [1e308, 0.0], [1e308, 1e308], [1e308, 0.0],
+                        [1e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError,
+                               match="^merged embedding of anchor token 1 overflows$"):
+                merge_tokens(emb, select_stub(5, [0, 1, 2]))
+            quarter = emb / 4
+            merged = merge_tokens(quarter, select_stub(5, [0, 1, 2]))
+        assert merged.merge_assignment == {3: 1, 4: 1}
+        assert np.array_equal(merged.merged_embeddings[1],
+                              (quarter[1] + quarter[3] + quarter[4]) / 3)
 
     def test_report_and_write(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -8,6 +8,7 @@ the eager pipeline: every layer read, the scan on the bundle's own layers.
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -290,3 +291,40 @@ def test_layers_outside_the_stack_are_refused(tmp_path, layer):
     with pytest.raises(TraceError, match=rf"^self_attention layer {layer} outside \[1, 4\]$"):
         read_encoder_bundle(tmp_path / "enc",
                             layers=lambda stack, n: (2, layer) if stack == "self_attention" else ())
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.True_, "2", np.float64(2.0), None])
+@pytest.mark.parametrize("stack", ["self_attention", "last_instr_attention"])
+def test_a_layer_that_is_not_an_integer_is_named_before_any_read(
+        tmp_path, monkeypatch, stack, bad):
+    make_world(tmp_path)
+    read = payload_reads(monkeypatch)
+    reader = read_decoder_bundle if stack == "last_instr_attention" else read_encoder_bundle
+    bundle = tmp_path / ("dec" if stack == "last_instr_attention" else "enc")
+    with pytest.raises(TraceError, match=rf"^{stack} layer {re.escape(repr(bad))} is not an integer$"):
+        reader(bundle, layers=lambda s, n: (1, bad) if s == stack else ())
+    assert read == []
+
+
+def test_a_required_stack_with_no_layer_is_named_before_any_read(tmp_path, monkeypatch):
+    make_world(tmp_path)
+    read = payload_reads(monkeypatch)
+    with pytest.raises(TraceError, match="^layers names no last_instr_attention layer to read$"):
+        read_decoder_bundle(tmp_path / "dec", layers=lambda s, n: ())
+    assert read == []
+
+
+def test_numpy_integer_layers_read_as_ints(tmp_path):
+    make_world(tmp_path)
+    want = read_decoder_bundle(tmp_path / "dec", layers=lambda s, n: (2, 4))
+    got = read_decoder_bundle(tmp_path / "dec",
+                              layers=lambda s, n: np.array([4, 2, 4], dtype=np.uint8))
+    assert np.array_equal(got.last_instr_attention, want.last_instr_attention)
+    assert got.n_layers == 2
+
+
+def test_layers_may_come_from_a_generator(tmp_path):
+    make_world(tmp_path)
+    got = read_decoder_bundle(tmp_path / "dec", layers=lambda s, n: (i for i in (3, 1)))
+    want = read_decoder_bundle(tmp_path / "dec")
+    assert np.array_equal(got.last_instr_attention, want.last_instr_attention[[0, 2]])

@@ -12,7 +12,6 @@ from vtreduce import (
     ShapeError,
     cosine_similarity,
     round_half_up,
-    scaled_attention,
     softmax_rows,
     top_k_indices,
 )
@@ -63,32 +62,6 @@ class TestSoftmaxRows:
         base = softmax_rows(rows)
         shifted = softmax_rows(np.asarray(rows) + c)
         assert np.allclose(base, shifted, atol=1e-12)
-
-
-class TestScaledAttention:
-    def test_single_zero_key(self):
-        out = scaled_attention(np.zeros((1, 4)), np.zeros((1, 4)))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 1.0
-
-    def test_identical_keys_uniform(self):
-        keys = np.tile([1.0, -2.0, 0.5], (5, 1))
-        out = scaled_attention([[0.3, 0.1, -0.7]], keys)
-        assert np.allclose(out, 0.2, atol=1e-12)
-
-    def test_two_to_one_logit_gap(self):
-        # query 2, keys 0 and ln2/2, D=1: logits 0 and ln2
-        out = scaled_attention([[2.0]], [[0.0], [math.log(2) / 2]])
-        assert np.allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            scaled_attention(np.zeros((1, 3)), np.zeros((2, 4)))
-
-    def test_rows_normalized(self):
-        rng = np.random.default_rng(0)
-        out = scaled_attention(rng.normal(size=(4, 6)), rng.normal(size=(9, 6)))
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestTopK:

@@ -274,6 +274,50 @@ class TestBundles:
             read_encoder_bundle(tmp_path / "dec")
 
 
+class TestSymlinks:
+    """A bundle's tensor files must be real files in its directory; the
+    directory and its manifest may be links."""
+
+    def linked_bundle(self, tmp_path, name):
+        """A decoder bundle whose file ``name`` is a link to a copy outside it."""
+        write_decoder_bundle(generate_synthetic_decoder(1, 2, 1, 1, 4, 1), tmp_path / "other")
+        write_decoder_bundle(generate_synthetic_decoder(2, 2, 1, 1, 4, 1), tmp_path / "dec")
+        (tmp_path / "dec" / name).unlink()
+        (tmp_path / "dec" / name).symlink_to(Path("..", "other", name))
+        return tmp_path / "dec"
+
+    @pytest.mark.parametrize("layers", [None, lambda stack, n: (2,)])
+    def test_linked_layer_file_refused(self, tmp_path, layers):
+        bundle = self.linked_bundle(tmp_path, "layer_00.vscn")
+        with pytest.raises(FormatError, match=r"cannot read tensor file: .*layer_00\.vscn"):
+            read_decoder_bundle(bundle, layers=layers)
+
+    def test_linked_embeddings_refused(self, tmp_path):
+        write_encoder_bundle(generate_synthetic_encoder(1, 2, 2, 1, 1, 2), tmp_path / "other")
+        write_encoder_bundle(generate_synthetic_encoder(2, 2, 2, 1, 1, 2), tmp_path / "enc")
+        link = tmp_path / "enc" / "embeddings.vscn"
+        link.unlink()
+        link.symlink_to(tmp_path / "other" / "embeddings.vscn")
+        with pytest.raises(FormatError, match=r"cannot read tensor file: .*embeddings\.vscn"):
+            read_encoder_bundle(tmp_path / "enc")
+
+    def test_read_tensor_refuses_a_link_it_is_given(self, tmp_path):
+        write_tensor(tmp_path / "t.vscn", [1.0, 2.0])
+        (tmp_path / "link.vscn").symlink_to("t.vscn")
+        with pytest.raises(FormatError, match="link.vscn"):
+            read_tensor(tmp_path / "link.vscn")
+        assert read_tensor((tmp_path / "link.vscn").resolve()).tolist() == [1.0, 2.0]
+
+    def test_linked_directory_and_manifest_read(self, tmp_path):
+        trace = generate_synthetic_decoder(1, 2, 1, 1, 4, 1)
+        write_decoder_bundle(trace, tmp_path / "dec")
+        (tmp_path / "dir_link").symlink_to("dec")
+        (tmp_path / "dec" / "manifest.json").rename(tmp_path / "manifest.json")
+        (tmp_path / "dec" / "manifest.json").symlink_to(Path("..", "manifest.json"))
+        for path in (tmp_path / "dir_link", tmp_path / "dec" / "manifest.json"):
+            assert same_trace(read_decoder_bundle(path), trace)
+
+
 def same_trace(a, b):
     """Whether two traces hold the same values, arrays compared exactly."""
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
@@ -417,6 +461,13 @@ class TestTraceValidation:
             warnings.simplefilter("error")
             with pytest.raises(TraceError, match="sum to 1"):
                 DecoderTrace(1, 2, 1, attn)
+
+    def test_encoder_stacks_must_agree_on_layers(self):
+        cls = np.full((2, 1, 2), 0.5)
+        self_attn = np.full((3, 1, 2, 2), 0.5)
+        with pytest.raises(TraceError, match=r"^attention stacks disagree on layers/heads: "):
+            EncoderTrace(1, 2, embeddings=np.ones((2, 3)), cls_attention=cls,
+                         self_attention=self_attn)
 
     def test_decoder_layout_total(self):
         attn = np.full((2, 1, 6), 1 / 6)
