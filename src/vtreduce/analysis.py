@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder_prune import text_attention_scores
+from .decoder_prune import PruneConfig, prune_at_layer, text_attention_scores
 from .errors import ConfigError, LayoutError
-from .numerics import round_half_up, top_k_indices
 from .trace_io import DecoderTrace, write_csv
 
 __all__ = [
@@ -53,18 +52,20 @@ def position_bias_histogram(
 ) -> BiasHistogram:
     """Bin the top-``retention`` tokens at a 1-based layer by grid cell.
 
-    Selection uses the same head-averaged score and top-k path as the
-    pruning stage, so at equal retention the two retain identical sets.
+    The kept set is ``prune_at_layer``'s on the same head-averaged scores,
+    so at equal retention the pruning stage retains the identical set.
     """
     if not 0.0 < retention <= 1.0:
         raise ConfigError("retention", f"must be in (0, 1], got {retention}")
+    if min(grid_h, grid_w) < 1:
+        raise ConfigError("grid", f"must be >= 1x1, got {grid_h}x{grid_w}")
     if grid_h * grid_w != trace.n_visual:
         raise LayoutError(
             f"grid {grid_h}x{grid_w} does not cover {trace.n_visual} visual tokens"
         )
     scores = text_attention_scores(trace, layer)
-    budget = round_half_up(retention * trace.n_visual)
-    retained = top_k_indices(scores, budget)
+    cfg = PruneConfig(layer, retention, trace.n_layers)
+    retained = prune_at_layer(scores, cfg, trace.n_visual).retained
     counts = np.bincount(retained, minlength=grid_h * grid_w).reshape(grid_h, grid_w)
     return BiasHistogram(
         layer=layer, retention=retention, counts=counts, retained=retained

@@ -15,12 +15,7 @@ comparable headline.
 import dataclasses
 from dataclasses import dataclass
 
-from .decoder_prune import (
-    LayerTokenProfile,
-    check_decoder_retention,
-    check_prune_layer,
-    kv_cache_entries,
-)
+from .decoder_prune import LayerTokenProfile, PruneConfig, kv_cache_entries
 from .encoder_scan import TokenSelection
 from .errors import BudgetError, ConfigError
 from .trace_io import write_csv, write_json
@@ -53,6 +48,8 @@ class ModelDims:
             value = getattr(self, field.name)
             if value < 1:
                 raise ConfigError(field.name, f"must be >= 1, got {value}")
+            if value > 2**53:  # keeps every FLOPs term of a bundle's tokens finite
+                raise ConfigError(field.name, f"must be <= 2**53, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +106,8 @@ def flops_total(tokens_per_layer, dims: ModelDims) -> float:
         if not 0.0 <= n < float("inf"):  # false for nan too
             raise ConfigError("tokens_per_layer", f"must be finite and >= 0, got {n}")
         total += 4.0 * n * d * d + 2.0 * n * n * d + 3.0 * n * d * m
+    if not total < float("inf"):
+        raise ConfigError("tokens_per_layer", "total FLOPs overflow float64")
     return total
 
 
@@ -123,8 +122,7 @@ def average_retention(
     The first ``prune_layer`` layers run at the encoder-stage retention,
     the remaining layers at its product with the decoder-stage retention.
     """
-    check_prune_layer(prune_layer, n_layers)
-    check_decoder_retention(decoder_retention)
+    PruneConfig(prune_layer, decoder_retention, n_layers)
     full = prune_layer
     pruned = n_layers - prune_layer
     return encoder_retention * (full + pruned * decoder_retention) / n_layers

@@ -27,18 +27,6 @@ __all__ = [
 ]
 
 
-def check_prune_layer(prune_layer: int, n_layers: int) -> None:
-    if not 1 <= prune_layer <= n_layers:
-        raise ConfigError(
-            "prune_layer", f"must be in [1, {n_layers}], got {prune_layer}"
-        )
-
-
-def check_decoder_retention(retention: float) -> None:
-    if not 0.0 <= retention <= 1.0:
-        raise ConfigError("decoder_retention", f"must be in [0, 1], got {retention}")
-
-
 @dataclass(frozen=True)
 class PruneConfig:
     """``prune_layer`` is 1-based; ``retention`` is the kept fraction of
@@ -51,8 +39,14 @@ class PruneConfig:
     def __post_init__(self):
         if self.n_layers < 1:
             raise ConfigError("n_layers", f"must be >= 1, got {self.n_layers}")
-        check_prune_layer(self.prune_layer, self.n_layers)
-        check_decoder_retention(self.retention)
+        if self.n_layers > 2**53:  # see ModelDims
+            raise ConfigError("n_layers", f"must be <= 2**53, got {self.n_layers}")
+        if not 1 <= self.prune_layer <= self.n_layers:
+            raise ConfigError(
+                "prune_layer", f"must be in [1, {self.n_layers}], got {self.prune_layer}"
+            )
+        if not 0.0 <= self.retention <= 1.0:
+            raise ConfigError("decoder_retention", f"must be in [0, 1], got {self.retention}")
 
 
 @dataclass

@@ -271,7 +271,7 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     follow ascending selected index.
     """
     emb = np.ascontiguousarray(embeddings, dtype=np.float64)
-    check_shape(emb, 2)
+    check_shape(emb.shape, 2)
     peaks = row_peaks(emb)
     if emb.shape[0] != selection.n_tokens:
         raise TraceError(

@@ -21,14 +21,14 @@ __all__ = [
 ]
 
 
-def check_shape(arr: np.ndarray, ndim: int | None = None) -> None:
+def check_shape(shape: tuple[int, ...], ndim: int | None = None) -> None:
     """The shape half of ``as_tensor``: rank >= 1 (``ndim`` if given), dims >= 1."""
-    if arr.ndim == 0:
+    if not shape:
         raise ShapeError("expected an array with at least one dimension, got a scalar")
-    if ndim is not None and arr.ndim != ndim:
-        raise ShapeError(f"expected a {ndim}-D array, got shape {arr.shape}")
-    if any(d < 1 for d in arr.shape):
-        raise ShapeError(f"dimensions must all be >= 1, got shape {arr.shape}")
+    if ndim is not None and len(shape) != ndim:
+        raise ShapeError(f"expected a {ndim}-D array, got shape {shape}")
+    if any(d < 1 for d in shape):
+        raise ShapeError(f"dimensions must all be >= 1, got shape {shape}")
 
 
 def as_tensor(values, ndim: int | None = None) -> np.ndarray:
@@ -38,7 +38,7 @@ def as_tensor(values, ndim: int | None = None) -> np.ndarray:
     finite. ``ndim``, when given, additionally pins the expected rank.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr, ndim)
+    check_shape(arr.shape, ndim)
     if not np.isfinite(arr).all():
         raise DegenerateInputError("array contains NaN or Inf")
     return arr

@@ -243,7 +243,7 @@ def _attention_stack(values, tail: tuple[int, ...], name: str, mismatch: str):
     Inf entry. Finite rows whose sum overflows fail the row-sum check.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr, 2 + len(tail))
+    check_shape(arr.shape, 2 + len(tail))
     with np.errstate(over="ignore"):  # an overflowed sum fails the row check
         sums = arr.sum(axis=-1)
     if not np.isfinite(sums).all():
@@ -491,35 +491,38 @@ def _read_bundle(path, kind: str, layers=None):
         article = "an" if kind == "encoder" else "a"
         raise FormatError(f"expected {article} {kind} bundle, got kind {manifest['kind']!r}")
     files, values, shapes, plan = manifest["files"], {}, {}, {}
-    try:
-        # each stack's files and slots to read, settled before any payload is
-        # read; an absent optional stack is the default, None
-        for f in (f for f in fields(cls) if f.name in _STACK_STEMS):
-            names = files[f.name] if f.default is MISSING else files.get(f.name) or []
-            keep = None if layers is None else _layer_slots(layers, f.name, len(names))
-            if names and keep == [] and f.default is MISSING:
-                raise TraceError(f"layers names no {f.name} layer to read")
-            plan[f.name] = names, keep
-        # read unchecked: the trace checks every value it holds, once
-        for f in fields(cls):
-            if f.type is int:
-                values[f.name] = manifest[f.name]
-            elif f.name not in _STACK_STEMS:
-                values[f.name] = _read_stack(base, [files[f.name]])[0]
-            elif plan[f.name][0] or f.default is MISSING:
-                stack = _read_stack(base, *plan[f.name])
-                shapes[f.name] = (len(plan[f.name][0]), *stack.shape[1:])
-                if len(stack):  # else checked by its headers alone, below
-                    values[f.name] = stack
-        trace = cls(**values)
-    except KeyError as exc:
-        raise FormatError(f"manifest missing key {exc}") from exc
+    for f in fields(cls):  # the keys the kind requires, in field order
+        if f.default is MISSING and f.name not in (manifest if f.type is int else files):
+            raise FormatError(f"manifest missing key {f.name!r}")
+    # each stack's files and slots to read, settled before any file is
+    # opened; an absent optional stack is the default, None
+    for f in (f for f in fields(cls) if f.name in _STACK_STEMS):
+        names = files.get(f.name) or []
+        keep = None if layers is None else _layer_slots(layers, f.name, len(names))
+        if names and keep == [] and f.default is MISSING:
+            raise TraceError(f"layers names no {f.name} layer to read")
+        plan[f.name] = names, keep
+    picks = {name: len(keep) for name, (_, keep) in plan.items() if keep}
+    if len(set(picks.values())) > 1:
+        raise TraceError(f"layers must pick as many layers of each stack read, got {picks}")
+    # read unchecked: the trace checks every value it holds, once
+    for f in fields(cls):
+        if f.type is int:
+            values[f.name] = manifest[f.name]
+        elif f.name not in _STACK_STEMS:
+            values[f.name] = _read_stack(base, [files[f.name]])[0]
+        elif plan[f.name][0] or f.default is MISSING:
+            stack = _read_stack(base, *plan[f.name])
+            shapes[f.name] = (len(plan[f.name][0]), *stack.shape[1:])
+            if len(stack):  # else checked by its headers alone, below
+                values[f.name] = stack
+    trace = cls(**values)
     stacks = {shape[:2] for shape in shapes.values()}
     if len(stacks) > 1:
         raise TraceError(f"attention stacks disagree on layers/heads: {stacks}")
     for name in shapes.keys() - values.keys():  # the shape checks the trace skipped
         (tail, mismatch), shape = trace._stack_tails()[name], shapes[name]
-        check_shape(np.broadcast_to(0.0, shape), 2 + len(tail))  # a view, no values
+        check_shape(shape, 2 + len(tail))
         if shape[2:] != tail:
             raise TraceError(mismatch.format(*shape[2:]))
     depth = stacks.pop()[0]  # the trace may hold fewer layers

@@ -74,6 +74,14 @@ class TestBiasHistogram:
             position_bias_histogram(trace, 1, 0.0, 3, 4)
 
 
+    @pytest.mark.parametrize("grid", [(-2, -3), (-1, -6), (0, 6), (6, 0)])
+    def test_grid_dims_must_be_positive(self, grid):
+        trace = generate_synthetic_decoder(3, 4, 2, 4, 6, 8)
+        with pytest.raises(ConfigError, match=r"^grid: must be >= 1x1, got ") as info:
+            position_bias_histogram(trace, 1, 0.5, *grid)
+        assert info.value.field == "grid"
+
+
 class TestAttentionSums:
     def test_uniform_rows(self):
         trace = uniform_decoder_trace(3, 2, 4, 6, 10)

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import shutil
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_decoder_trace
 from vtreduce import cost_model, write_decoder_bundle, write_tensor
@@ -453,6 +458,21 @@ class TestPipeline:
         assert err == ("pipeline failed at stage 'config': "
                        "decoder_retention: must be in [0, 1], got 1.5\n")
 
+    @pytest.mark.parametrize("field", ["n_layers", "hidden_size", "ffn_size"])
+    def test_size_past_2_53_fails_at_config(self, capsys, small_world, field):
+        sizes = {"n_layers": 4, "hidden_size": 32, "ffn_size": 64, field: 10**200}
+        code, _, err = run(
+            capsys, "pipeline", "--encoder-trace", small_world / "enc",
+            "--decoder-trace", small_world / "dec", "--retention", "0.5",
+            "--local-layer", "1", "--window-rows", "2", "--window-cols", "2",
+            *(x for key, value in sizes.items() for x in ("--" + key.replace("_", "-"), value)),
+            "--out", small_world / "run",
+        )
+        assert code == 1
+        assert err == (f"pipeline failed at stage 'config': {field}: "
+                       f"must be <= 2**53, got {10**200}\n")
+        assert not (small_world / "run").exists()
+
 
 class TestFlopsAndBudget:
     def test_flops_preset(self, capsys):
@@ -494,6 +514,23 @@ class TestFlopsAndBudget:
         assert err == ("error[flops]: tokens_per_layer: must be finite and >= 0, "
                        f"got {float(tokens)}\n")
 
+    @pytest.mark.parametrize("field", ["n_layers", "hidden_size", "ffn_size"])
+    def test_flops_size_past_2_53_named(self, capsys, field):
+        def flops(**sizes):
+            dims = {"n_layers": 2, "hidden_size": 2**53, "ffn_size": 2**53, **sizes}
+            argv = [x for key, value in dims.items() for x in ("--" + key.replace("_", "-"), value)]
+            return run(capsys, "flops", *argv, "--tokens", "1")
+        per_layer = 4.0 * 2**106 + 2.0 * 2**53 + 3.0 * 2**106
+        assert flops() == (0, f"{2 * per_layer:.6e}\n", "")
+        for big in (2**53 + 1, 10**400):
+            assert flops(**{field: big}) == (
+                1, "", f"error[flops]: {field}: must be <= 2**53, got {big}\n")
+
+    def test_flops_total_past_float64_named(self, capsys):
+        code, out, err = run(capsys, "flops", "--preset", "llava15", "--tokens", "1e200")
+        assert (code, out) == (1, "")
+        assert err == "error[flops]: tokens_per_layer: total FLOPs overflow float64\n"
+
     def test_flops_unknown_preset(self, capsys):
         code, _, err = run(capsys, "flops", "--preset", "nope", "--tokens", "1")
         assert code == 1
@@ -528,6 +565,17 @@ class TestFlopsAndBudget:
         assert code == 1
         assert out == ""
         assert "prune_layer" in err
+
+    @pytest.mark.parametrize("n_layers, message", [
+        ("0", "must be >= 1, got 0"),
+        (str(10**400), f"must be <= 2**53, got {10**400}"),
+    ])
+    def test_budget_n_layers_out_of_range_named(self, capsys, n_layers, message):
+        code, out, err = run(capsys, "budget", "--target", "0.5",
+                             "--decoder-retention", "0.3",
+                             "--prune-layer", "1", "--n-layers", n_layers)
+        assert (code, out) == (1, "")
+        assert err == f"error[budget]: n_layers: {message}\n"
 
     @pytest.mark.parametrize("value", ["5", "-0.5"])
     def test_budget_decoder_retention_out_of_range_named(self, capsys, value):
@@ -565,6 +613,15 @@ class TestAnalyze:
         assert lines[0] == "layer,row,col,count"
         total = sum(int(line.split(",")[3]) for line in lines[1:])
         assert total == 6
+
+    @pytest.mark.parametrize("grid", ["-2x-3", "0x6", "6x0", "-1x-6"])
+    def test_bias_histogram_grid_below_1x1_named(self, capsys, tmp_path, grid):
+        assert run(capsys, "gen", "--kind", "decoder", "--seed", "3", "--layers", "4",
+                   "--heads", "2", "--visual", "6", "--out", tmp_path / "d6")[0] == 0
+        code, out, err = run(capsys, "analyze", "bias-histogram",
+                             "--trace", tmp_path / "d6", f"--grid={grid}")
+        assert (code, out) == (1, "")
+        assert err == f"error[analyze]: grid: must be >= 1x1, got {grid}\n"
 
     def test_corrupt_bundle_is_domain_error(self, capsys, tmp_path):
         trace = uniform_decoder_trace(2, 1, 1, 4, 1)
@@ -624,3 +681,63 @@ def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
                        "--layers", "2", "--heads", "1", "--visual", "4")
     assert code == 0
     assert (target / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the number flags: whatever integers, floats or grids they hold,
+# a command exits 0 or 1, or argparse exits 2; nothing else escapes, and a
+# number printed is finite.
+
+INTS = st.integers(-10**400, 10**400) | st.sampled_from([0, 1, 2**53, 2**53 + 1])
+FLOATS = st.floats() | INTS
+# grids in [-4, 8]^2, often one whose cell count is the 6 visual tokens of
+# ``fuzz_decoder``, so that the grid is what the command checks
+GRIDS = st.tuples(st.integers(-4, 8), st.integers(-4, 8)) | st.sampled_from(
+    [(h, w) for h in range(-4, 9) for w in range(-4, 9) if h * w == 6])
+
+
+def flag(name, values, required=False):
+    """``[--name=value]`` for a drawn value, or, unless required, maybe ``[]``."""
+    given_flag = values.map(lambda v: [f"--{name}={v}"])
+    return given_flag if required else st.just([]) | given_flag
+
+
+FUZZ_ARGV = {
+    "flops": [flag("preset", st.sampled_from(["llava15", "qwen25-vl-7b"])),
+              # flops builds a list of n_layers floats: a large count only allocates
+              flag("n-layers", st.integers(-2, 64)),
+              flag("hidden-size", INTS), flag("ffn-size", INTS),
+              flag("tokens", FLOATS | st.floats(0), required=True)],
+    "budget": [flag("target", FLOATS, True), flag("decoder-retention", FLOATS, True),
+               flag("prune-layer", INTS, True), flag("n-layers", INTS, True)],
+    "bias-histogram": [flag("layer", INTS), flag("retention", FLOATS),
+                       flag("grid", GRIDS.map(lambda g: f"{g[0]}x{g[1]}"), True)],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_decoder(tmp_path_factory):
+    """A 4-layer decoder bundle with 6 visual tokens."""
+    path = tmp_path_factory.mktemp("fuzz") / "dec"
+    write_decoder_bundle(uniform_decoder_trace(4, 2, 2, 6, 3), path)
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_number_flags_never_raise(fuzz_decoder, command, data):
+    argv = [command] if command != "bias-histogram" else [
+        "analyze", command, f"--trace={fuzz_decoder}"]
+    for strategy in FUZZ_ARGV[command]:
+        argv += data.draw(strategy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1)
+    if code == 0 and command != "bias-histogram":  # the one number printed is finite
+        assert math.isfinite(float(out.getvalue()))

@@ -70,6 +70,19 @@ class TestFlopsTotal:
             flops_total([1] * 31 + [count], LLAVA_DIMS)
         assert exc.value.field == "tokens_per_layer"
 
+    @pytest.mark.parametrize("field", ["n_layers", "hidden_size", "ffn_size"])
+    def test_dims_stay_inside_float64_integers(self, field):
+        ModelDims(2**53, 2**53, 2**53)
+        sizes = {"n_layers": 1, "hidden_size": 1, "ffn_size": 1, field: 2**53 + 1}
+        with pytest.raises(ConfigError, match=r"must be <= 2\*\*53") as info:
+            ModelDims(**sizes)
+        assert info.value.field == field
+
+    def test_overflowing_total_refused(self):
+        with pytest.raises(ConfigError, match="overflow float64") as info:
+            flops_total([1e200] * 32, LLAVA_DIMS)
+        assert info.value.field == "tokens_per_layer"
+
     def test_term_structure(self):
         # per layer: linear terms (4 n d^2, 3 n d m) plus quadratic 2 n^2 d,
         # so doubling n scales the quadratic part by exactly 4
@@ -94,6 +107,12 @@ class TestAverageRetention:
     def test_decode_only_schedules_hold_three_quarters(self, prune_layer, retention):
         got = average_retention(1.0, retention, prune_layer, 32)
         assert got == pytest.approx(0.75, abs=0.01)
+
+    def test_schedule_checked_as_prune_config(self):
+        with pytest.raises(ConfigError, match=r"^n_layers: must be >= 1, got 0$"):
+            average_retention(1.0, 0.5, 1, 0)
+        with pytest.raises(ConfigError, match=r"^prune_layer: must be in \[1, 4\], got 5$"):
+            average_retention(1.0, 0.5, 5, 4)
 
     def test_no_decode_pruning(self):
         for keep in (0.1, 0.33, 1.0):

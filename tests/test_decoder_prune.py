@@ -157,6 +157,12 @@ class TestPruneConfig:
         with pytest.raises(ConfigError):
             PruneConfig(2, 1.5, 4)
 
+    def test_depth_stays_inside_float64_integers(self):
+        assert PruneConfig(1, 0.5, 2**53).n_layers == 2**53
+        with pytest.raises(ConfigError, match=r"^n_layers: must be <= 2\*\*53, got ") as info:
+            PruneConfig(1, 0.5, 2**53 + 1)
+        assert info.value.field == "n_layers"
+
 
 def test_recency_bias_spearman_from_generator():
     # generated traces with strong recency bias score later tokens higher

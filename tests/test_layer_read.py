@@ -328,3 +328,51 @@ def test_layers_may_come_from_a_generator(tmp_path):
     got = read_decoder_bundle(tmp_path / "dec", layers=lambda s, n: (i for i in (3, 1)))
     want = read_decoder_bundle(tmp_path / "dec")
     assert np.array_equal(got.last_instr_attention, want.last_instr_attention[[0, 2]])
+
+
+def test_unequal_picks_are_refused_before_any_read(tmp_path, monkeypatch):
+    make_world(tmp_path)  # both stacks hold 4 layers of 2 heads
+    read = payload_reads(monkeypatch)
+    with pytest.raises(TraceError, match=r"^layers must pick as many layers of each stack "
+                       r"read, got \{'cls_attention': 2, 'self_attention': 1\}$"):
+        read_encoder_bundle(tmp_path / "enc",
+                            layers=lambda s, n: (1, 2) if s == "cls_attention" else (3,))
+    assert read == []
+
+
+def test_equal_picks_from_both_stacks_read(tmp_path):
+    make_world(tmp_path)
+    got = read_encoder_bundle(tmp_path / "enc",
+                              layers=lambda s, n: (1, 3) if s == "cls_attention" else (4, 2))
+    want = read_encoder_bundle(tmp_path / "enc")
+    assert np.array_equal(got.cls_attention, want.cls_attention[[0, 2]])
+    assert np.array_equal(got.self_attention, want.self_attention[[1, 3]])
+    assert got.n_layers == 2
+
+
+@pytest.mark.parametrize("error", [KeyError("oops"), KeyError("n_visual"), ValueError("bad")])
+@pytest.mark.parametrize("reader, bundle", [(read_encoder_bundle, "enc"),
+                                            (read_decoder_bundle, "dec")])
+def test_the_callbacks_errors_pass_through_unchanged(tmp_path, monkeypatch, reader,
+                                                     bundle, error):
+    make_world(tmp_path)
+    read = payload_reads(monkeypatch)
+
+    def layers(stack, n_layers):
+        raise error
+    with pytest.raises(type(error)) as info:
+        reader(tmp_path / bundle, layers=layers)
+    assert info.value is error
+    assert read == []
+
+
+def test_a_null_required_stack_is_a_domain_error_with_layers(tmp_path):
+    make_world(tmp_path)
+    path = tmp_path / "dec" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"]["last_instr_attention"] = None
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="^manifest lists no layer files$"):
+        read_decoder_bundle(tmp_path / "dec")
+    with pytest.raises(TraceError, match=r"^last_instr_attention layer 1 outside \[1, 0\]$"):
+        read_decoder_bundle(tmp_path / "dec", layers=lambda s, n: (1,))

@@ -191,6 +191,20 @@ class TestBundles:
         with pytest.raises(FormatError):
             read_decoder_bundle(tmp_path / "dec")
 
+    @pytest.mark.parametrize("kind, int_key, file_key", [
+        ("decoder", "n_pre_text", "last_instr_attention"),
+        ("encoder", "grid_w", "embeddings"),
+    ])
+    def test_missing_keys_named_in_field_order(self, tmp_path, kind, int_key, file_key):
+        path, read = tiny_bundle(tmp_path / "b", kind)
+        manifest = json.loads(path.read_text())
+        del manifest[int_key], manifest["files"][file_key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"^manifest missing key '{int_key}'$"):
+            read(tmp_path / "b")
+        with pytest.raises(FormatError, match=f"^manifest missing key '{int_key}'$"):
+            read(tmp_path / "b", layers=lambda s, n: (1,) if n else ())
+
     @pytest.mark.parametrize(
         "kind, field, value",
         [
