@@ -8,12 +8,15 @@ Subcommands:
     analyze    bias-histogram / attention-sum CSVs from a decoder trace
 
 Exit codes: 0 ok, 1 domain error (bad trace, infeasible budget, bad
-config), 2 usage error. The environment variable VTREDUCE_OUT_DIR
-overrides output directories that were not set explicitly on the command
-line.
+config), 2 usage error. The environment variable VTREDUCE_OUT_DIR, read
+at each ``main`` call, sets the output directory of ``gen`` and
+``pipeline`` when ``--out`` does not; for ``pipeline`` it overrides the
+config file's ``out_dir``.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -49,7 +52,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
-    if args.out is None:  # neither --out nor VTREDUCE_OUT_DIR
+    if args.out_dir is None:  # neither --out nor VTREDUCE_OUT_DIR
         raise ConfigError("out", "no output directory given")
     if args.kind == "encoder":
         grid_h, grid_w = _parse_grid(args.grid)
@@ -67,7 +70,7 @@ def _cmd_gen(args) -> int:
         )
         write = trace_io.write_decoder_bundle
     with os_error_as("out"):
-        manifest = write(trace, args.out)
+        manifest = write(trace, args.out_dir)
     print(manifest)
     return 0
 
@@ -125,15 +128,17 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = trace_io.read_decoder_bundle(args.trace)
     if args.what == "attention-sum":
-        result = analysis.attention_sum_per_layer(trace)
+        result = analysis.attention_sum_per_layer(trace_io.read_decoder_bundle(args.trace))
         write = analysis.write_attention_sums_csv
     else:
+        # only the scored layer is read, so a --layer past the bundle's
+        # depth fails the read, before any other check
+        trace = trace_io.read_decoder_bundle(
+            args.trace, layers=lambda stack, depth: (args.layer,))
         grid_h, grid_w = _parse_grid(args.grid)
-        result = analysis.position_bias_histogram(
-            trace, args.layer, args.retention, grid_h, grid_w
-        )
+        result = analysis.position_bias_histogram(trace, 1, args.retention, grid_h, grid_w)
+        result = dataclasses.replace(result, layer=args.layer)
         write = analysis.write_bias_histogram_csv
     with os_error_as("out"):
         write(result, sys.stdout if args.out is None else args.out)
@@ -142,18 +147,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vtreduce",
         description="Two-stage visual token reduction over attention traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    out_env = os.environ.get(OUT_DIR_ENV) or None  # default of gen and pipeline --out
 
     gen = sub.add_parser("gen", help="generate a synthetic trace bundle")
     gen.add_argument("--kind", choices=["encoder", "decoder"], required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", default=out_env, help="bundle directory")
+    gen.add_argument("--out", dest="out_dir", help="bundle directory")
     gen.add_argument("--layers", type=int, default=12)
     gen.add_argument("--heads", type=int, default=4)
     gen.add_argument("--grid", default="6x6", help="encoder patch grid, HxW")
@@ -174,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser("pipeline", help="run the full reduction pipeline")
     pipe.add_argument("--config", help="JSON config file")
     _add_fields(pipe, pipeline.FIELDS)
-    pipe.set_defaults(func=_cmd_pipeline, out_dir=out_env)
+    pipe.set_defaults(func=_cmd_pipeline)
 
     flops = sub.add_parser("flops", help="prefill FLOPs at a uniform token count")
     _add_fields(flops, ("preset", "n_layers", "hidden_size", "ffn_size"))
@@ -200,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("gen", "pipeline") and args.out_dir is None:
+        args.out_dir = os.environ.get(OUT_DIR_ENV) or None
     try:
         return args.func(args)
     except VtReduceError as exc:

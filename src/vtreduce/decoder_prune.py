@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, ShapeError
-from .numerics import as_tensor, round_half_up, top_k_indices
+from .numerics import check_shape, round_half_up, top_k_indices
 from .trace_io import DecoderTrace
 
 __all__ = [
@@ -79,11 +79,12 @@ def text_attention_scores(trace: DecoderTrace, layer: int) -> np.ndarray:
 
 def prune_at_layer(scores, cfg: PruneConfig, n_merged: int) -> LayerTokenProfile:
     """Keep the top ``retention`` fraction of tokens from the pruning layer on."""
-    arr = as_tensor(scores, ndim=1)
+    arr = np.ascontiguousarray(scores, dtype=np.float64)
+    check_shape(arr.shape, 1)
     if arr.shape[0] != n_merged:
         raise ShapeError(f"got {arr.shape[0]} scores for {n_merged} merged tokens")
     kept = round_half_up(cfg.retention * n_merged)
-    retained = top_k_indices(arr, kept)
+    retained = top_k_indices(arr, kept)  # also the NaN/Inf check
     counts = [n_merged] * cfg.prune_layer + [kept] * (cfg.n_layers - cfg.prune_layer)
     return LayerTokenProfile(
         counts=counts,

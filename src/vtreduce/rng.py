@@ -13,13 +13,19 @@ All arithmetic is modulo 2**64. ``next_u64`` is the reference stream.
 ``normals`` computes the same stream, and the same bits, in numpy lanes.
 The xoshiro256** update is linear over GF(2): as a row vector of 256 state
 bits, a state steps to ``state @ T``. T is derived by stepping the 256 unit
-states with the lane kernel, and T^(2^k) by squaring. The stream is cut
-into chunks of 2^c outputs; lane i starts at the start state times
-T^(i * 2^c), the lanes step together, and the chunks are read back in
-stream order. The state left afterwards is the start state jumped by the
-number of outputs drawn, so the next draw continues the scalar stream.
+states with the lane kernel, and T^(2^k) by squaring; each entry of a
+float32 product of 0/1 matrices is an exact integer <= 256, so its parity
+is taken with integer ops. The stream is cut into chunks of 2^c outputs;
+lane i starts at the start state times T^(i * 2^c), the lanes step
+together, and the chunks are read back in stream order. Output u of the
+stream is step ((u - 1) mod 2^c) + 1 of lane (u - 1) >> c, so the state
+left afterwards is read off that lane there, and the next draw continues
+the scalar stream. The log goes through ``math.log`` and the pair
+``(r cos theta, r sin theta)`` through ``cmath.rect(r, theta)``, which
+rounds the same two libm products, one Python call per pair.
 """
 
+import cmath
 import functools
 import math
 
@@ -42,20 +48,27 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-def _step(s: np.ndarray) -> np.ndarray:
+# shift counts as uint64 scalars: a Python int is converted on every call
+_S17, _S19, _S45 = np.uint64(17), np.uint64(19), np.uint64(45)
+
+
+def _steps(s: np.ndarray, block: np.ndarray) -> None:
     """Advance the xoshiro256** states in the columns of the (4, L) uint64
-    array ``s`` one step, in place; returns their L outputs."""
+    array ``s`` ``len(block)`` steps, in place; row t of the (rows, L)
+    ``block`` receives the s1 word that step t's outputs are made from."""
     s0, s1, s2, s3 = s
-    x = s1 * 5
-    out = (x << 7 | x >> 57) * 9
-    t = s1 << 17
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    s3[...] = s3 << 45 | s3 >> 19
-    return out
+    t = np.empty_like(s1)
+    for row in block:
+        row[...] = s1
+        np.left_shift(s1, _S17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _S45, out=t)
+        s3 >>= _S19
+        s3 |= t
 
 
 def _to_bits(s: np.ndarray) -> np.ndarray:
@@ -71,17 +84,23 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
+def _parity(product: np.ndarray) -> np.ndarray:
+    """Each entry mod 2 of a float32 product of 0/1 matrices over 256 bits:
+    its entries are exact integers <= 256, so they convert to uint16 as
+    they are."""
+    return product.astype(np.uint16) & 1
+
+
 @functools.cache
 def _jump_bits(k: int) -> bytes:
-    """T^(2^k) as packed bits. Each matmul sum is an integer <= 256, so a
-    float32 product is exact before the mod 2."""
+    """T^(2^k) as packed bits."""
     if k == 0:
         units = _from_bits(np.eye(256, dtype=np.float32))
-        _step(units)
+        _steps(units, np.empty((1, 256), np.uint64))
         power = _to_bits(units)
     else:
         half = _jump_matrix(k - 1)
-        power = (half @ half) % 2
+        power = _parity(half @ half)
     return np.packbits(power.astype(np.uint8)).tobytes()
 
 
@@ -92,7 +111,7 @@ def _jump_matrix(k: int) -> np.ndarray:
 
 def _jump(s: np.ndarray, k: int) -> np.ndarray:
     """The (4, L) states ``s`` advanced 2^k steps, as a new array."""
-    return _from_bits((_to_bits(s) @ _jump_matrix(k)) % 2)
+    return _from_bits(_parity(_to_bits(s) @ _jump_matrix(k)))
 
 
 def _advance(s: np.ndarray, d: int) -> np.ndarray:
@@ -139,21 +158,32 @@ class Xoshiro256:
         u = 2 * ((n + 1) // 2)
         c = max(6, u.bit_length() // 2)
         lanes = np.array(self._s, dtype=np.uint64)[:, None]
-        end = _advance(lanes, u)
         for k in range(c, (u - 1).bit_length()):  # lane i starts i * 2^c steps on
             lanes = np.hstack([lanes, _jump(lanes, k)])
         lanes = lanes[:, :-(-u >> c)]
         steps = min(1 << c, u)
+        # the state after output u: lane (u - 1) >> c after this many steps
+        last, end = (u - 1) >> c, ((u - 1) & ((1 << c) - 1)) + 1
         out = np.empty((lanes.shape[1], steps))  # out[i, t]: draw i * 2^c + t
         rows = max(2, _BLOCK // max(1, lanes.shape[1]) & ~1)
+        block = np.empty((rows, lanes.shape[1]), np.uint64)
         for t0 in range(0, steps, rows):
-            x = np.stack([_step(lanes) for _ in range(min(rows, steps - t0))])
+            x = block[:min(rows, steps - t0)]
+            if t0 < end <= t0 + len(x):
+                _steps(lanes, x[:end - t0])
+                self._s = lanes[:, last].tolist()
+                _steps(lanes, x[end - t0:])
+            else:
+                _steps(lanes, x)
+            x = x * 5
+            x = ((x << 7 | x >> 57) * 9 >> 11).T  # x[i, t]: top 53 bits of an output
             # u1 in (0, 1] so log(u1) is finite
-            u1 = ((x[0::2] >> 11) + 1) * 2.0**-53
-            u2 = (x[1::2] >> 11) * 2.0**-53
+            u1 = (x[:, 0::2] + 1) * 2.0**-53
+            u2 = x[:, 1::2] * 2.0**-53
             r = np.sqrt(-2.0 * _fmap(math.log, u1))
             theta = 2.0 * math.pi * u2
-            out[:, t0:t0 + len(x):2] = (r * _fmap(math.cos, theta)).T
-            out[:, t0 + 1:t0 + len(x):2] = (r * _fmap(math.sin, theta)).T
-        self._s = [int(v) for v in end[:, 0]]
+            pairs = map(cmath.rect, r.ravel().tolist(), theta.ravel().tolist())
+            # pair j of lane i gives out[i, t0 + 2j] and out[i, t0 + 2j + 1]
+            out[:, t0:t0 + x.shape[1]] = np.fromiter(
+                pairs, np.complex128, r.size).view(np.float64).reshape(x.shape)
         return out.reshape(-1)[:n]

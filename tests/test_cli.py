@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_decoder_trace
-from vtreduce import cost_model, write_decoder_bundle, write_tensor
-from vtreduce.cli import main
+from vtreduce import cost_model, trace_io, write_decoder_bundle, write_tensor
+from vtreduce.analysis import position_bias_histogram, write_bias_histogram_csv
+from vtreduce.cli import build_parser, main
+from vtreduce.trace_io import read_decoder_bundle
 
 
 def run(capsys, *argv):
@@ -741,3 +743,109 @@ def test_number_flags_never_raise(fuzz_decoder, command, data):
     assert code in (0, 1)
     if code == 0 and command != "bias-histogram":  # the one number printed is finite
         assert math.isfinite(float(out.getvalue()))
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: VTREDUCE_OUT_DIR is read at each main call, not
+# when the parser is built.
+
+def test_out_dir_env_read_at_each_call(capsys, tmp_path, monkeypatch):
+    gen = ["gen", "--kind", "decoder", "--seed", "1", "--layers", "2",
+           "--heads", "1", "--visual", "4"]
+    monkeypatch.delenv("VTREDUCE_OUT_DIR", raising=False)
+    assert run(capsys, *gen, "--out", tmp_path / "flag")[0] == 0
+    monkeypatch.setenv("VTREDUCE_OUT_DIR", str(tmp_path / "via_env"))
+    assert run(capsys, *gen)[0] == 0
+    assert (tmp_path / "via_env" / "manifest.json").exists()
+    monkeypatch.delenv("VTREDUCE_OUT_DIR")
+    assert run(capsys, *gen) == (1, "", "error[gen]: out: no output directory given\n")
+    monkeypatch.setenv("VTREDUCE_OUT_DIR", "")  # empty is unset
+    assert run(capsys, *gen) == (1, "", "error[gen]: out: no output directory given\n")
+
+
+def test_pipeline_out_dir_precedence(capsys, small_world, monkeypatch):
+    """The flag, then VTREDUCE_OUT_DIR, then the config file's out_dir."""
+    config = small_world / "cfg.json"
+    config.write_text(json.dumps({
+        "encoder_trace": str(small_world / "enc"), "decoder_trace": str(small_world / "dec"),
+        "retention": 0.5, "local_layer": 1, "window_rows": 2, "window_cols": 2,
+        "n_layers": 4, "hidden_size": 32, "ffn_size": 64,
+        "out_dir": str(small_world / "from_config"),
+    }))
+    argv = ["pipeline", "--config", config]
+    monkeypatch.delenv("VTREDUCE_OUT_DIR", raising=False)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("VTREDUCE_OUT_DIR", str(small_world / "from_env"))
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--out", small_world / "from_flag")
+    assert code == 0
+    assert out.splitlines()[-1] == str(small_world / "from_flag" / "cost_summary.json")
+    runs = {p.name for p in small_world.iterdir() if p.name.startswith("from_")}
+    assert runs == {"from_config", "from_env", "from_flag"}
+    for name in runs:
+        assert (small_world / name / "cost_summary.json").exists()
+
+
+def test_parser_is_built_once(capsys, tmp_path):
+    build_parser.cache_clear()
+    for seed in range(3):
+        assert run(capsys, "gen", "--kind", "decoder", "--seed", seed, "--layers", "2",
+                   "--heads", "1", "--visual", "4", "--out", tmp_path / str(seed))[0] == 0
+        assert run(capsys, "budget", "--target", "0.5", "--decoder-retention", "0.5",
+                   "--prune-layer", "2", "--n-layers", "4")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["budget"])  # a usage error leaves the parser as it was
+    assert run(capsys, "flops", "--preset", "llava15", "--tokens", "576")[0] == 0
+    assert build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# analyze bias-histogram reads only the layer it scores.
+
+@pytest.fixture
+def deep_decoder(capsys, tmp_path):
+    assert run(capsys, "gen", "--kind", "decoder", "--seed", "11", "--layers", "6",
+               "--heads", "2", "--visual", "12", "--bias", "3",
+               "--out", tmp_path / "dec")[0] == 0
+    return tmp_path / "dec"
+
+
+@pytest.mark.parametrize("layer", [1, 4, 6])
+def test_bias_histogram_reads_one_layer(capsys, deep_decoder, monkeypatch, layer):
+    trace = read_decoder_bundle(deep_decoder)
+    expected = io.StringIO()
+    write_bias_histogram_csv(position_bias_histogram(trace, layer, 0.5, 3, 4), expected)
+    read = []
+    real = trace_io._read_payload
+
+    def spy(fh, code, out):
+        read.append(Path(fh.name).name)
+        real(fh, code, out)
+    monkeypatch.setattr(trace_io, "_read_payload", spy)
+    code, out, _ = run(capsys, "analyze", "bias-histogram", "--trace", deep_decoder,
+                       "--layer", layer, "--retention", "0.5", "--grid", "3x4")
+    assert code == 0
+    assert read == [f"layer_{layer - 1:02d}.vscn"]
+    assert out == expected.getvalue()
+    assert {line.split(",")[0] for line in out.splitlines()[1:]} == {str(layer)}
+
+
+@pytest.mark.parametrize("layer", [0, 7, -1, 10**30])
+def test_bias_histogram_layer_outside_the_bundle(capsys, deep_decoder, layer):
+    code, out, err = run(capsys, "analyze", "bias-histogram", "--trace", deep_decoder,
+                         "--layer", layer, "--grid", "3x4")
+    assert (code, out) == (1, "")
+    assert err == f"error[analyze]: last_instr_attention layer {layer} outside [1, 6]\n"
+
+
+def test_bias_histogram_layer_checked_first(capsys, deep_decoder):
+    """The layer is checked as the bundle is read, so it wins over the
+    retention, the grid and its cover."""
+    for bad in (["--retention", "0"], ["--grid", "0x6"], ["--grid", "2x2"], ["--grid", "x"]):
+        code, _, err = run(capsys, "analyze", "bias-histogram", "--trace", deep_decoder,
+                           "--layer", "9", *bad)
+        assert code == 1
+        assert err == "error[analyze]: last_instr_attention layer 9 outside [1, 6]\n"
+    code, _, err = run(capsys, "analyze", "bias-histogram", "--trace", deep_decoder,
+                       "--retention", "0", "--grid", "0x6")
+    assert err == "error[analyze]: retention: must be in (0, 1], got 0.0\n"

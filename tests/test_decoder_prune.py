@@ -7,6 +7,7 @@ from conftest import uniform_decoder_trace
 from vtreduce import (
     ConfigError,
     DecoderTrace,
+    DegenerateInputError,
     LayoutError,
     PruneConfig,
     ShapeError,
@@ -174,3 +175,32 @@ def test_recency_bias_spearman_from_generator():
     ranks_s = np.argsort(np.argsort(scores))
     rho = np.corrcoef(ranks_s, positions)[0, 1]
     assert rho > 0
+
+
+def test_prune_scans_its_scores_once(monkeypatch):
+    from vtreduce import numerics
+    calls = []
+    real = numerics.as_tensor
+
+    def counting(values, ndim=None):
+        calls.append(ndim)
+        return real(values, ndim)
+    monkeypatch.setattr(numerics, "as_tensor", counting)
+    scores = np.random.default_rng(1).random(40)
+    assert len(prune_at_layer(scores, PruneConfig(2, 0.5, 4), 40).retained) == 20
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("scores, n_merged, error, message", [
+    (np.array([0.5, np.nan, 0.1]), 3, DegenerateInputError, "array contains NaN or Inf"),
+    ([0.5, np.inf], 2, DegenerateInputError, "array contains NaN or Inf"),
+    (np.ones((2, 2)), 2, ShapeError, "expected a 1-D array, got shape (2, 2)"),
+    (np.ones(0), 0, ShapeError, "dimensions must all be >= 1, got shape (0,)"),
+    (np.ones(3), 4, ShapeError, "got 3 scores for 4 merged tokens"),
+    # the length is checked before the one NaN/Inf scan
+    (np.array([np.nan, 1.0]), 3, ShapeError, "got 2 scores for 3 merged tokens"),
+])
+def test_prune_score_errors(scores, n_merged, error, message):
+    with pytest.raises(error) as info:
+        prune_at_layer(scores, PruneConfig(1, 0.5, 2), n_merged)
+    assert str(info.value) == message
