@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.set_defaults(func=_cmd_pipeline)
 
     flops = sub.add_parser("flops", help="prefill FLOPs at a uniform token count")
-    _add_fields(flops, ("preset", "n_layers", "hidden_size", "ffn_size"))
+    dims = [f.name for f in dataclasses.fields(cost_model.ModelDims)]
+    _add_fields(flops, ("preset", *dims))
     flops.add_argument("--tokens", type=float, required=True)
     flops.set_defaults(func=_cmd_flops)
 

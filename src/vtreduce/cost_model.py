@@ -139,9 +139,8 @@ def solve_encoder_retention(
         raise ConfigError(
             "target_average", f"must be in (0, 1], got {target_average}"
         )
+    # PruneConfig's bounds keep this >= prune_layer / n_layers >= 2**-53
     weight = average_retention(1.0, decoder_retention, prune_layer, n_layers)
-    if weight <= 0.0:
-        raise BudgetError("decoder schedule retains nothing; target unreachable")
     result = target_average / weight
     if result > 1.0 + 1e-12:
         raise BudgetError(

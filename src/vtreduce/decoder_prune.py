@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError, ShapeError
-from .numerics import check_shape, round_half_up, top_k_indices
+from .numerics import as_array, round_half_up, top_k_indices
 from .trace_io import DecoderTrace
 
 __all__ = [
@@ -79,8 +79,7 @@ def text_attention_scores(trace: DecoderTrace, layer: int) -> np.ndarray:
 
 def prune_at_layer(scores, cfg: PruneConfig, n_merged: int) -> LayerTokenProfile:
     """Keep the top ``retention`` fraction of tokens from the pruning layer on."""
-    arr = np.ascontiguousarray(scores, dtype=np.float64)
-    check_shape(arr.shape, 1)
+    arr = as_array(scores, 1)
     if arr.shape[0] != n_merged:
         raise ShapeError(f"got {arr.shape[0]} scores for {n_merged} merged tokens")
     kept = round_half_up(cfg.retention * n_merged)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError, TraceError
 from .numerics import (
-    as_tensor, check_shape, round_half_up, row_peaks, top_k_indices, unit_rows,
+    as_array, as_tensor, round_half_up, row_peaks, top_k_indices, unit_rows,
 )
 from .trace_io import EncoderTrace, write_json, write_tensor
 
@@ -270,8 +270,7 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     ``merge_assignment`` and ``merged_embeddings`` filled; output rows
     follow ascending selected index.
     """
-    emb = np.ascontiguousarray(embeddings, dtype=np.float64)
-    check_shape(emb.shape, 2)
+    emb = as_array(embeddings, 2)
     peaks = row_peaks(emb)
     if emb.shape[0] != selection.n_tokens:
         raise TraceError(

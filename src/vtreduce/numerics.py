@@ -2,8 +2,9 @@
 
 All values are float64 internally regardless of how traces are stored;
 selection logic is rank-based, so the extra precision only tightens
-golden-value checks. Every function here but the in-place ``unit_rows``
-is pure and safe to call from concurrent workers.
+golden-value checks. ``as_array`` is the one gate from outside values to
+arrays, and it refuses a 0-d value (a scalar) with a ``ShapeError``. Every
+function here but the in-place ``unit_rows`` is pure and thread-safe.
 """
 
 import math
@@ -22,7 +23,7 @@ __all__ = [
 
 
 def check_shape(shape: tuple[int, ...], ndim: int | None = None) -> None:
-    """The shape half of ``as_tensor``: rank >= 1 (``ndim`` if given), dims >= 1."""
+    """The shape rule of ``as_array``: rank >= 1 (``ndim`` if given), dims >= 1."""
     if not shape:
         raise ShapeError("expected an array with at least one dimension, got a scalar")
     if ndim is not None and len(shape) != ndim:
@@ -31,14 +32,21 @@ def check_shape(shape: tuple[int, ...], ndim: int | None = None) -> None:
         raise ShapeError(f"dimensions must all be >= 1, got shape {shape}")
 
 
+def as_array(values, ndim: int | None = None) -> np.ndarray:
+    """``values`` as a C-order float64 array whose shape passes
+    ``check_shape``; a C-order float64 array is returned as is."""
+    arr = np.asarray(values, dtype=np.float64)
+    check_shape(arr.shape, ndim)
+    return np.ascontiguousarray(arr)
+
+
 def as_tensor(values, ndim: int | None = None) -> np.ndarray:
     """Validate and convert to a C-order float64 array.
 
-    Enforces the tensor invariants: every dimension >= 1 and every entry
-    finite. ``ndim``, when given, additionally pins the expected rank.
+    Enforces the tensor invariants: ``as_array``'s shape rule and every
+    entry finite. ``ndim``, when given, additionally pins the expected rank.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr.shape, ndim)
+    arr = as_array(values, ndim)
     if not np.isfinite(arr).all():
         raise DegenerateInputError("array contains NaN or Inf")
     return arr

@@ -2,7 +2,7 @@
 ``load-traces``, ``encoder-scan``, ``merge``, ``decoder-scores``, ``prune``,
 ``report`` and ``write``. A ``VtReduceError`` leaves ``run_pipeline`` with
 the name of the stage that raised it in ``exc.stage``. Config keys are checked
-by ``FIELDS`` for CLI and Python callers alike; path fields take os.PathLike."""
+by ``FIELDS`` for CLI and Python callers alike."""
 
 import contextlib
 import dataclasses
@@ -15,29 +15,25 @@ from .errors import ConfigError, VtReduceError, os_error_as
 
 __all__ = ["FIELDS", "run_pipeline"]
 
-# The pipeline fields, in flag order: config key -> (type, flag help). The CLI
+# The pipeline fields, in flag order: config key -> (type, flag help); the
+# ScanConfig and ModelDims fields take their types from those classes. The CLI
 # makes each row the flag --key-with-dashes (out_dir is --out), and a value
 # must have the row's type. ``T | None`` fields also take None, read as unset.
-FIELDS = {
-    "preset": (str | None, "model preset name"),
-    "encoder_trace": (str, None),
-    "decoder_trace": (str, None),
-    "retention": (float, "encoder-stage retention"),
-    "target_average": (float, "solve the encoder retention for this average"),
-    "global_fraction": (float, None),
-    "local_layer": (int, None),
-    "output_layer": (int | None, None),
-    "window_rows": (int, None),
-    "window_cols": (int, None),
-    "score_source": (str, None),
-    "decoder_retention": (float, None),
-    "prune_layer": (int, None),
-    "n_layers": (int, None),
-    "hidden_size": (int, None),
-    "ffn_size": (int, None),
-    "n_text_total": (int, None),
-    "out_dir": (str, "artifact directory"),
-}
+_HELP = {"preset": "model preset name", "retention": "encoder-stage retention",
+         "target_average": "solve the encoder retention for this average",
+         "out_dir": "artifact directory"}
+FIELDS = {key: (kind, _HELP.get(key)) for key, kind in {
+    "preset": str | None,
+    "encoder_trace": str | os.PathLike,
+    "decoder_trace": str | os.PathLike,
+    **{f.name: f.type for f in dataclasses.fields(encoder_scan.ScanConfig)},
+    "target_average": float,
+    "decoder_retention": float,
+    "prune_layer": int,
+    **{f.name: f.type for f in dataclasses.fields(cost_model.ModelDims)},
+    "n_text_total": int,
+    "out_dir": str | os.PathLike,
+}.items()}
 
 
 @contextlib.contextmanager
@@ -57,10 +53,8 @@ def _check_type(key, value) -> None:
         raise ConfigError(key, "unknown config field")
     kind = FIELDS[key][0]
     accepted = int | float if kind is float else kind
-    if key in ("encoder_trace", "decoder_trace", "out_dir"):
-        accepted = str | os.PathLike
     if isinstance(value, bool) or not isinstance(value, accepted):
-        name = getattr(kind, "__name__", kind)  # "int", or "int | None"
+        name = getattr(kind, "__name__", kind)  # "int", or "str | os.PathLike"
         try:
             shown = json.dumps(value)
         except (TypeError, ValueError):  # not a JSON value, e.g. a numpy scalar

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, FormatError, ShapeError, TraceError
-from .numerics import as_tensor, check_shape, softmax_rows, unit_rows
+from .numerics import as_array, as_tensor, check_shape, softmax_rows, unit_rows
 from .rng import Xoshiro256
 
 MAGIC = b"VSCN"
@@ -242,8 +242,7 @@ def _attention_stack(values, tail: tuple[int, ...], name: str, mismatch: str):
     stack only when some sum is not finite, to raise its error for a NaN or
     Inf entry. Finite rows whose sum overflows fail the row-sum check.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    check_shape(arr.shape, 2 + len(tail))
+    arr = as_array(values, 2 + len(tail))
     with np.errstate(over="ignore"):  # an overflowed sum fails the row check
         sums = arr.sum(axis=-1)
     if not np.isfinite(sums).all():

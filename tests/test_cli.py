@@ -303,6 +303,14 @@ class TestPipeline:
             f"pipeline failed at stage 'config': config: cannot read {cfg_path}: "
         )
 
+    def test_config_file_not_an_object_named(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        code, out, err = run(capsys, "pipeline", "--config", cfg_path)
+        assert (code, out) == (1, "")
+        assert err == ("pipeline failed at stage 'config': "
+                       "config: top level must be a JSON object\n")
+
     def test_embeddings_outside_bundle_rejected(self, capsys, small_world):
         shutil.copytree(small_world / "enc", small_world / "encX")
         manifest_path = small_world / "enc" / "manifest.json"

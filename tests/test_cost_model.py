@@ -137,6 +137,11 @@ class TestAverageRetention:
         assert solve_encoder_retention(0.4, 1.0, 10, 32) == pytest.approx(0.4)
         assert solve_encoder_retention(0.75, 0.5, 16, 32) == pytest.approx(1.0)
 
+    def test_smallest_schedule_weight_still_solves(self):
+        # PruneConfig's bounds keep the weight at least 1 / 2**53
+        value = solve_encoder_retention(1e-20, 0.0, 1, 2**53)
+        assert 0.0 < value < 1.0
+
     def test_infeasible_target(self):
         with pytest.raises(BudgetError):
             solve_encoder_retention(0.9, 0.0, 16, 32)

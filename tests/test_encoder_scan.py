@@ -53,6 +53,16 @@ class TestHeadAveragedScores:
         trace = EncoderTrace(1, 2, embeddings=np.ones((2, 3)), self_attention=attn)
         assert np.allclose(head_averaged_scores(trace, 1, "self_avg"), [1.0, 1.0])
 
+    def test_self_avg_of_one_token_is_zero(self):
+        trace = EncoderTrace(1, 1, embeddings=np.ones((1, 3)),
+                             self_attention=np.ones((1, 2, 1, 1)))
+        assert head_averaged_scores(trace, 1, "self_avg").tolist() == [0.0]
+
+    def test_unknown_source_raises(self):
+        trace = make_cls_trace([[[0.5, 0.5]]], 1, 2)
+        with pytest.raises(TraceError, match="^unknown score source 'bogus'$"):
+            head_averaged_scores(trace, 1, "bogus")
+
     def test_missing_source_raises(self):
         trace = make_cls_trace([[[0.5, 0.5]]], 1, 2)
         with pytest.raises(TraceError):
@@ -394,6 +404,19 @@ class TestMergeTokens:
         emb = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateInputError, match="token 1"):
             merge_tokens(emb, sel)
+
+    @pytest.mark.parametrize("emb, n_tokens, selected, error, message", [
+        ([[1.0, np.nan], [1.0, 2.0]], 2, [0], DegenerateInputError,
+         "array contains NaN or Inf"),
+        (np.ones((3, 2)), 2, [0], TraceError,
+         "embeddings rows 3 != selection n_tokens 2"),
+        (np.ones((2, 2)), 2, [], BudgetError, "cannot merge into an empty selection"),
+    ], ids=["nan", "row-count", "empty-selection"])
+    def test_input_errors(self, emb, n_tokens, selected, error, message):
+        sel = select_stub(n_tokens, selected=selected)
+        with pytest.raises(error) as exc:
+            merge_tokens(emb, sel)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e200, 1e308])
     def test_extreme_scales_keep_their_angle(self, scale):

@@ -44,6 +44,16 @@ def test_library_run_matches_cli(capsys, small_world):
     ("write", {"out_dir": "taken"}, ConfigError),
     ("load-traces", {"decoder_trace": "unreadable"}, FormatError),
     ("config", {"n_layers": None}, ConfigError),
+    ("config", {"retention": 0.0}, ConfigError),
+    ("config", {"retention": 1.5}, ConfigError),
+    ("config", {"global_fraction": -0.1}, ConfigError),
+    ("config", {"global_fraction": 1.1}, ConfigError),
+    ("config", {"local_layer": 0}, ConfigError),
+    ("config", {"output_layer": 0}, ConfigError),
+    ("config", {"window_rows": 0}, ConfigError),
+    ("config", {"window_cols": 0}, ConfigError),
+    ("config", {"score_source": "bogus"}, ConfigError),
+    ("config", {"target_average": 0.2}, ConfigError),  # beside retention 0.5
 ])
 def test_errors_name_their_stage(small_world, monkeypatch, stage, overrides, error):
     monkeypatch.chdir(small_world)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import warnings
@@ -150,6 +151,25 @@ class TestTensorFile:
             write_tensor(path, np.array([1.0, 1e300]), dtype="f32")
         assert not path.exists()
 
+    def test_unknown_dtype_rejected_on_write(self, tmp_path):
+        path = tmp_path / "t.vscn"
+        with pytest.raises(ShapeError, match="unsupported dtype 'f16'"):
+            write_tensor(path, np.ones(2), dtype="f16")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("code, dims, offset, message", [
+        (2, (2,), 6, "unknown dtype code 2"),
+        (1, (2, 0), 8, "zero dimension in (2, 0)"),
+    ], ids=["dtype-code", "zero-dim"])
+    def test_bad_header_field_offset(self, tmp_path, code, dims, offset, message):
+        path = tmp_path / "t.vscn"
+        header = struct.pack(f"<4sHBB{len(dims)}Q", MAGIC, FORMAT_VERSION, code,
+                             len(dims), *dims)
+        path.write_bytes(header + bytes(8 * math.prod(dims)))
+        with pytest.raises(FormatError, match=re.escape(message)) as exc:
+            read_tensor(path)
+        assert exc.value.offset == offset
+
     def test_magic_is_written_first(self, tmp_path):
         path = tmp_path / "t.vscn"
         write_tensor(path, np.ones(1))
@@ -190,6 +210,15 @@ class TestBundles:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError):
             read_decoder_bundle(tmp_path / "dec")
+
+    @pytest.mark.parametrize("key", ["version", "kind", "files"])
+    def test_missing_top_level_key_named(self, tmp_path, key):
+        path, read = tiny_bundle(tmp_path / "b", "decoder")
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"^manifest missing key '{key}'$"):
+            read(tmp_path / "b")
 
     @pytest.mark.parametrize("kind, int_key, file_key", [
         ("decoder", "n_pre_text", "last_instr_attention"),
@@ -482,6 +511,27 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match=r"^attention stacks disagree on layers/heads: "):
             EncoderTrace(1, 2, embeddings=np.ones((2, 3)), cls_attention=cls,
                          self_attention=self_attn)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EncoderTrace(0, 2, embeddings=np.ones((1, 3)),
+                              cls_attention=np.ones((1, 1, 1))),
+         "grid 0x2 must be >= 1x1"),
+        (lambda: DecoderTrace(1, 0, 1, np.full((1, 1, 2), 0.5)),
+         "layout needs n_pre_text >= 0, n_visual >= 1, n_post_text >= 1"),
+    ], ids=["encoder-grid", "decoder-visual"])
+    def test_empty_layout_rejected(self, build, message):
+        with pytest.raises(TraceError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("generate, args, dim", [
+        *((generate_synthetic_encoder, (1, 2, 2, 1, 1, 2), i) for i in range(1, 6)),
+        *((generate_synthetic_decoder, (1, 1, 1, 1, 4, 1), i) for i in range(1, 6)),
+    ])
+    def test_generator_zero_dim_rejected(self, generate, args, dim):
+        args = list(args)
+        args[dim] = 0
+        with pytest.raises(TraceError, match="^all generator dims must be >= 1$"):
+            generate(*args)
 
     def test_decoder_layout_total(self):
         attn = np.full((2, 1, 6), 1 / 6)
