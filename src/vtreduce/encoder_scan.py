@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError, TraceError
 from .numerics import (
-    as_array, as_tensor, round_half_up, row_peaks, top_k_indices, unit_rows,
+    _unit_peaks, as_array, as_tensor, round_half_up, row_peaks, top_k_indices,
+    unit_rows,
 )
-from .trace_io import EncoderTrace, write_json, write_tensor
+from .trace_io import EncoderTrace, write_tensor
 
 # score source -> the attention stack it scores from
 _SCORE_STACKS = {"cls": "cls_attention", "self_avg": "self_attention"}
@@ -289,7 +290,7 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     zero = np.flatnonzero(peaks == 0.0)
     if zero.size:
         raise DegenerateInputError(f"zero-norm embedding at token {int(zero[0])}")
-    nearest = _nearest_anchors(emb, unsel, sel)
+    nearest = _nearest_anchors(emb, unsel, sel, peaks)
     means = _group_means(emb, sel, unsel, nearest)
     # scan only when unsel.size + 1 peaks, doubled for rounding, can overflow
     if peaks.max() > np.finfo(np.float64).max / (2 * unsel.size + 2):
@@ -302,17 +303,17 @@ def merge_tokens(embeddings, selection: TokenSelection) -> TokenSelection:
     )
 
 
-def _nearest_anchors(emb, unsel, sel) -> np.ndarray:
+def _nearest_anchors(emb, unsel, sel, peaks) -> np.ndarray:
     """For each row of ``emb[unsel]``, the position in ``sel`` of the row of
     ``emb[sel]`` with the largest exact dot product of ``unit_rows``
-    vectors, the first on ties.
+    vectors, the first on ties; ``peaks`` are ``row_peaks(emb)``.
 
     A float32 product screens every pair. A row with more than one anchor
     near its maximum is screened again over those candidates in float64,
     and decided exactly if that leaves more than one.
     """
     k = emb.shape[1]
-    near = _near_max(_unit_f32(emb, unsel) @ _unit_f32(emb, sel).T,
+    near = _near_max(_unit_f32(emb, unsel, peaks) @ _unit_f32(emb, sel, peaks).T,
                      _screen_error(k, np.float32))
     nearest = near.argmax(axis=1)  # a row's first candidate; rows with more below
     rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
@@ -335,12 +336,30 @@ def _nearest_anchors(emb, unsel, sel) -> np.ndarray:
     return nearest
 
 
-def _unit_f32(emb, idx) -> np.ndarray:
-    """``unit_rows(emb[idx])`` rounded to float32, normalised 128 rows at a
-    time so that no float64 copy of them all is made."""
+# the peaks _unit_f32 casts unscaled; _screen_error's underflow term rests
+# on them
+_F32_PEAKS = 2.0**-32, 2.0**32
+
+
+def _unit_f32(emb, idx, peaks) -> np.ndarray:
+    """The rows ``emb[idx]`` cast to float32 and divided there by their L2
+    norms, each summed in float64 and rounded to float32; ``peaks`` are
+    ``row_peaks(emb)``. A row whose peak lies outside ``_F32_PEAKS`` is
+    first put through ``_unit_peaks``, so that its cast neither overflows
+    nor vanishes. The rows are gathered 128 at a time, so no float64 copy
+    of them all is made. ``_screen_error`` bounds how far these rows' dots
+    are from the exact dots of ``unit_rows`` rows."""
     out = np.empty((idx.size, emb.shape[1]), dtype=np.float32)
+    squares = np.empty(idx.size)
+    lo, hi = _F32_PEAKS
     for i in range(0, idx.size, 128):
-        out[i:i + 128] = unit_rows(emb[idx[i:i + 128]])
+        rows, p = emb[idx[i:i + 128]], peaks[idx[i:i + 128]]
+        far = (p < lo) | (p >= hi)
+        if far.any():
+            rows[far] = _unit_peaks(rows[far], p[far])
+        squares[i:i + 128] = np.einsum("ij,ij->i", rows, rows)
+        out[i:i + 128] = rows
+    out /= np.sqrt(squares).astype(np.float32)[:, None]
     return out
 
 
@@ -351,27 +370,48 @@ def _near_max(sims: np.ndarray, e: float) -> np.ndarray:
     return sims >= top - 2.0 * e  # float32 values compare as float64, exactly
 
 
-# The screen's error. Let a, b be unit_rows rows of length K, s = sum a_i b_i
-# their exact dot, u the unit roundoff of the screen's dtype (2**-24 for
-# float32, 2**-53 for float64), l its smallest normal and gamma_n = n u /
-# (1 - n u) (Higham, "Accuracy and Stability of Numerical Algorithms", ch.
-# 3). A float32 screen first casts a_i and b_i, multiplying each by (1 + d),
-# |d| <= u. A dot of K terms, summed in any order, with or without FMA, is
-# within gamma_K sum|a_i b_i| of the exact dot of its operands. So the
-# screen is within gamma_{K+2} sum|a_i b_i| of s, and sum|a_i b_i| <= |a| |b|,
-# where a unit_rows norm is 1 to within (K + 3) 2**-53 < 2**-28:
-# gamma_{K+3} covers that. One more u covers the float64 rounding of the
-# threshold max - 2e. Underflow adds an absolute error: each of the K terms
-# loses at most l (times a factor of magnitude < 2) in each of its two
-# casts, and l in its product and in its partial sum, whether the
-# arithmetic underflows gradually or flushes to zero: under 8 K l in all.
+# The screen's error. Let x and y be rows of emb of length K, a = x / |x|
+# and b = y / |y| their exact unit vectors, and a', b' their unit_rows rows:
+# the pick maximises the exact dot s = a'.b'. Let u be the unit roundoff of
+# the screen's dtype (2**-24 for float32, 2**-53 for float64), l its
+# smallest normal and gamma_n = n u / (1 - n u) (Higham, "Accuracy and
+# Stability of Numerical Algorithms", ch. 3). A dot of K terms, summed in
+# any order, with or without FMA, is within gamma_K sum|p_i| of the exact
+# sum of its products p_i. Underflow adds at most u l to a rounded cast,
+# product or quotient, and nothing to an addition.
+#
+# float64 screen of a', b': within gamma_K |a'| |b'| of s, where a unit_rows
+# norm is 1 to within (K + 3) 2**-53 < 2**-28: gamma_{K+3} covers that. One
+# more u covers the float64 rounding of the threshold max - 2e. Underflow
+# adds under 8 K l.
+#
+# float32 screen of _unit_f32 rows a~, b~ (u = 2**-24 from here on). An
+# entry of a~ is a_i times the roundings of its cast, of the norm's cast
+# and of the quotient, and the float64 error of the norm: its sum of K
+# squares and its root, gamma'_{K+1} with u' = 2**-53. So a~_i =
+# a_i (1 + e_i), with
+#     |e_i| <= e = (1 + gamma_3) (1 + gamma'_{K+1}) - 1,
+#     |a~.b~ - a.b| <= (2 e + e^2) sum|a_i b_i| <= 2 e + e^2,
+# and the float32 dot is within gamma_K sum|a~_i b~_i| <= gamma_K (1 + e)^2
+# of a~.b~. A unit_rows entry is within (2 K + 3) 2**-53 of a_i,
+# relatively and up to underflow, so |a.b - s| < u; one more u covers the
+# threshold's rounding. That sum is (K + 8) u to first order, and
+# gamma_{K+8} exceeds it term by term. Underflow: _unit_f32 brings each
+# peak into [2**-32, 2**32), so a norm is at least 2**-32, and the u l =
+# 2**-150 that a cast, a quotient or a product may lose adds under
+# K 2**-110 in all.
 def _screen_error(k: int, dtype) -> float:
-    """A bound on |screen - exact dot| of two ``unit_rows`` rows of length
-    ``k`` in ``dtype``; infinite, so every anchor is a candidate, once
-    k + 4 >= 2**23."""
-    info = np.finfo(dtype)
-    n = (k + 4) * float(info.eps) / 2
-    return n / (1.0 - n) + 8 * k * float(info.smallest_normal) if k + 4 < 2**23 else math.inf
+    """A bound on |screen - exact dot of the ``unit_rows`` rows| for rows
+    of length ``k``: a float32 screen of ``_unit_f32`` rows, or a float64
+    screen of ``unit_rows`` rows. Infinite, so every anchor is a candidate,
+    once k + 4 >= 2**23."""
+    if k + 4 >= 2**23:
+        return math.inf
+    if dtype == np.float32:
+        n, floor = (k + 8) * 2.0**-24, k * 2.0**-110
+    else:
+        n, floor = (k + 4) * 2.0**-53, 8 * k * 2.0**-1022
+    return n / (1.0 - n) + floor
 
 
 def _exact_argmax(u: np.ndarray, vs: np.ndarray) -> int:
@@ -391,25 +431,29 @@ def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
     """Row r: mean of ``emb[sel[r]]`` and every ``emb[unsel[i]]`` with
     ``nearest[i] == r``, in the order ``merge_tokens`` documents.
 
-    Members are added one level at a time (level j holds the j-th member of
-    every group), so each group is summed in member order from +0.0 while
-    the Python loop runs once per level, not per token or group.
+    The groups are ordered by descending size (stable, so ties keep anchor
+    order), and member level j (the j-th member of every group that has
+    one) is added to the prefix of the groups that reach it, as one
+    contiguous ``+=`` of gathered rows. So each group is summed in member
+    order from +0.0 while the Python loop runs once per level, not per
+    token or group. The order is undone once, at the end.
     """
-    rows = np.concatenate([np.arange(sel.size), nearest])
-    members = np.concatenate([sel, unsel])
-    order = np.argsort(rows, kind="stable")  # anchor first, then ascending
-    rows, members = rows[order], members[order]
-    counts = np.bincount(rows)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    sums = np.zeros((sel.size, emb.shape[1]))
+    sizes = np.bincount(nearest, minlength=sel.size) + 1
+    order = np.argsort(-sizes, kind="stable")  # largest groups first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    members = unsel[np.argsort(rank[nearest], kind="stable")]  # by group, ascending
+    sizes = sizes[order]
+    firsts = np.cumsum(sizes - 1) - (sizes - 1)  # each group's first member
+    merged = np.count_nonzero(sizes > 1)
+    sums = emb[sel[order]]  # a group of one stays a copy, which keeps -0.0
     with np.errstate(over="ignore"):  # merge_tokens reports an overflowed group
-        for j in range(counts.max()):
-            level = rank == j
-            sums[rows[level]] += emb[members[level]]
-    sums /= counts[:, None]
-    single = counts == 1
-    sums[single] = emb[sel[single]]  # a copy keeps -0.0, which 0.0 + x loses
-    return sums
+        sums[:merged] += 0.0  # summed from +0.0, which turns -0.0 into +0.0
+        for j in range(1, sizes[0]):
+            n = np.count_nonzero(sizes > j)
+            sums[:n] += emb[members[firsts[:n] + j - 1]]
+        sums[:merged] /= sizes[:merged, None]
+    return sums[rank]
 
 
 def selection_report(selection: TokenSelection) -> dict:
@@ -428,10 +472,30 @@ def selection_report(selection: TokenSelection) -> dict:
     return report
 
 
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, sort_keys=False, indent=2) + "\\n"`` for the
+    shape ``selection_report`` gives: ints, lists of ints and lists of int
+    pairs. ``json`` takes its pure-Python encoder whenever ``indent`` is
+    set; this writes the same bytes directly."""
+    items = []
+    for key, value in report.items():
+        if isinstance(value, int):
+            text = str(value)
+        elif not value:
+            text = "[]"
+        else:
+            lines = ([f"[\n      {u},\n      {a}\n    ]" for u, a in value]
+                     if isinstance(value[0], list) else map(str, value))
+            text = "[\n    " + ",\n    ".join(lines) + "\n  ]"
+        items.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def write_selection(selection: TokenSelection, out_dir) -> Path:
     """Write selection.json (+ merged_embeddings.vscn when merged)."""
     out = Path(out_dir)
-    path = write_json(out / "selection.json", selection_report(selection), sort_keys=False)
+    path = out / "selection.json"
+    path.write_text(_report_json(selection_report(selection)))
     if selection.merged_embeddings is not None:
         write_tensor(out / "merged_embeddings.vscn", selection.merged_embeddings)
     return path

@@ -185,11 +185,11 @@ def _read_stack(base: Path, names: list[str], keep=None) -> np.ndarray:
 # text artifacts
 
 
-def write_json(path, obj, sort_keys: bool = True) -> Path:
-    """Write ``obj`` as 2-space-indented JSON (keys sorted unless
-    ``sort_keys`` is False) and a final newline."""
+def write_json(path, obj) -> Path:
+    """Write ``obj`` as 2-space-indented JSON with sorted keys and a final
+    newline."""
     path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=sort_keys, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -574,6 +574,13 @@ def _chebyshev_distances(grid_h: int, grid_w: int) -> np.ndarray:
     return np.maximum(dr, dc).astype(np.float64)
 
 
+def _check_dims(least: int, **dims: int) -> None:
+    """Each generator dim must be at least ``least``; the error names it."""
+    for field, value in dims.items():
+        if value < least:
+            raise ConfigError(field, f"must be >= {least}, got {value}")
+
+
 def _check_finite(field: str, value: float) -> None:
     """A generator strength must be finite; ``field`` is its ``gen`` flag."""
     if not math.isfinite(value):
@@ -599,8 +606,8 @@ def generate_synthetic_encoder(
     is 0). Classification-token rows are the plain normal field. Draw order
     is: cls logits, self logits (when included), embeddings.
     """
-    if min(grid_h, grid_w, n_layers, n_heads, embed_dim) < 1:
-        raise TraceError("all generator dims must be >= 1")
+    _check_dims(1, grid_h=grid_h, grid_w=grid_w, n_layers=n_layers, n_heads=n_heads,
+                embed_dim=embed_dim)
     _check_finite("locality", locality_strength)
     n = grid_h * grid_w
     if include_self_attention:
@@ -659,8 +666,9 @@ def generate_synthetic_decoder(
     the visual span in the middle third of layers, giving the head-mean
     visual attention curve a mid-layer peak.
     """
-    if min(n_layers, n_heads, n_pre_text, n_visual, n_post_text) < 1:
-        raise TraceError("all generator dims must be >= 1")
+    _check_dims(1, n_layers=n_layers, n_heads=n_heads)
+    _check_dims(0, n_pre_text=n_pre_text)  # the bias and the boost need no pre-text
+    _check_dims(1, n_visual=n_visual, n_post_text=n_post_text)
     _check_finite("bias", position_bias_strength)
     _check_finite("visual_boost", visual_boost_strength)
     seq_len = n_pre_text + n_visual + n_post_text

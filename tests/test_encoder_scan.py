@@ -1,11 +1,12 @@
 import itertools
 import json
+import tempfile
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,7 +29,7 @@ from vtreduce import (
 )
 from vtreduce import encoder_scan
 from vtreduce.encoder_scan import selection_report, stage1_budgets, write_selection
-from vtreduce.numerics import unit_rows
+from vtreduce.numerics import row_peaks, unit_rows
 
 
 def make_cls_trace(cls_rows, grid_h, grid_w, embed_dim=4):
@@ -459,6 +460,23 @@ class TestMergeTokens:
         assert selection_report(sel)["n_tokens"] == 9
 
 
+_JSON_INTS = st.integers(0, 2**53)
+
+
+class TestSelectionJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_INTS, *[st.lists(_JSON_INTS, max_size=6)] * 3,
+           st.one_of(st.none(), st.dictionaries(_JSON_INTS, _JSON_INTS, max_size=6)))
+    @example(0, [], [], [], None)
+    @example(1, [0], [], [0], {})  # retention 1.0: nothing to merge
+    @example(2**53, [2**53], [1], [1, 2**53], {0: 2**53})
+    def test_bytes_equal_json_dumps(self, n, global_, local, selected, assignment):
+        sel = encoder_scan.TokenSelection(n, global_, local, selected, assignment)
+        want = json.dumps(selection_report(sel), sort_keys=False, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            assert write_selection(sel, tmp).read_bytes() == want.encode()
+
+
 def exact_nearest(emb, selected, rows):
     """Brute force: for each row, the selected token whose ``unit_rows``
     vector has the largest exact (Fraction) dot product with the row's,
@@ -541,6 +559,17 @@ _NEAR_TIE = (np.array([[8.0, 6.0, 8.0]]) + np.array([[-1, -2, 0], [3, -1, 3], [0
 # bound
 _F32_MISORDER = (np.array([[3.0, 2.0]]) + np.array([[-1, 2], [3, 2], [1, -1]]) * 2.0**-26,
                  [0, 1])
+# rows 0 and 1 are anchors; row 2 lies nearer row 0 exactly. The float32
+# casts of their unit_rows rows tie, and so do the rows divided by their
+# unrounded norms, but _unit_f32's norms rounded to float32 make the screen
+# rank row 1 first, by one float32 ulp
+_F32_NORM_MISORDER = (np.array([[2.0, 2.0]]) + np.array([[2, -1], [2, 1], [3, 0]]) * 2.0**-22,
+                      [0, 1])
+# anchors of peak 2**1000 and 2**-1000, a token with subnormal entries and
+# one of peak 2**200: a plain float32 cast of any of them overflows or
+# vanishes
+_FAR_PEAKS = (np.ldexp(np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 1.0], [1.0, 0.1]]),
+                       np.array([[1000], [-1000], [-1070], [200]])), [0, 1])
 # row 2 equals row 0, but a float64 dot (here: of these 5-dim rows) ranks
 # row 1 first
 _F64_MISORDER = (np.array([[-2.0, -1.0, 2.0, 2.0, 1.0]])
@@ -549,6 +578,13 @@ _F64_MISORDER = (np.array([[-2.0, -1.0, 2.0, 2.0, 1.0]])
 # the products of the second entries underflow: row 2's exact dot with row 1
 # is 1 + 2**-1200, with row 0 just 1
 _UNDERFLOW = (np.array([[1.0, 0.0], [1.0, 2.0**-600], [1.0, 2.0**-600]]), [0, 1])
+
+
+# row exponents: anywhere in +-1000, or at the edges of float32's range and
+# beyond, down into float64's subnormals
+_EXPONENTS = st.one_of(st.integers(-1000, 1000), st.sampled_from(
+    [e * sign for e in (100, 128, 129, 149, 150, 500, 1000) for sign in (1, -1)]
+    + [-1060, -1070]))
 
 
 class TestMergeMatchesSeed:
@@ -565,7 +601,9 @@ class TestMergeMatchesSeed:
     @example(_NEAR_TIE)
     @example(_UNDERFLOW)
     @example(_F32_MISORDER)
+    @example(_F32_NORM_MISORDER)
     @example(_F64_MISORDER)
+    @example(_FAR_PEAKS)
     def test_byte_identical(self, case):
         emb, selected = case
         want_assignment, want = seed_merge(emb, selected)
@@ -597,6 +635,62 @@ class TestMergeMatchesSeed:
         unit = unit_rows(emb.copy())
         assert unit[0] @ unit[2] == unit[1] @ unit[2]  # float64 cannot tell
         assert merge_tokens(emb, select_stub(3, selected)).merge_assignment == {2: 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(merge_cases(), st.lists(_EXPONENTS, min_size=40, max_size=40))
+    @example(_FAR_PEAKS, [0] * 40)
+    def test_scaled_rows_byte_identical(self, case, exponents):
+        # rows moved by up to 2**+-1000, or into subnormals: a plain float32
+        # cast of a row of peak above 2**128 overflows, below 2**-149 vanishes
+        emb, selected = case
+        emb = np.ldexp(emb, np.array(exponents[: emb.shape[0]])[:, None])
+        assume(np.abs(emb).max(axis=1).all())  # a row scaled to zero has no direction
+        want_assignment, want = seed_merge(emb, selected)
+        got = merge_tokens(emb, select_stub(emb.shape[0], selected))
+        assert list(got.merge_assignment.items()) == list(want_assignment.items())
+        assert got.merged_embeddings.tobytes() == want.tobytes()
+
+    def test_f32_norm_misorder_decided_exactly(self):
+        emb, selected = _F32_NORM_MISORDER
+        peaks = row_peaks(emb)
+        screen = encoder_scan._unit_f32(emb, np.array([2]), peaks) @ encoder_scan._unit_f32(
+            emb, np.array(selected), peaks).T
+        assert screen[0, 1] > screen[0, 0]
+        assert merge_tokens(emb, select_stub(3, selected)).merge_assignment == {2: 0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(dims=st.integers(1, 40)), st.lists(_EXPONENTS, min_size=40, max_size=40))
+    @example(_F32_NORM_MISORDER, [0] * 40)
+    @example(_FAR_PEAKS, [0] * 40)
+    def test_f32_screen_within_bound(self, case, exponents):
+        # every float32 screen value is within _screen_error of the exact dot
+        # of the two rows' unit_rows vectors
+        emb, _ = case
+        emb = np.ldexp(emb, np.array(exponents[: emb.shape[0]])[:, None])
+        assume(np.abs(emb).max(axis=1).all())
+        rows = np.arange(emb.shape[0])
+        f32 = encoder_scan._unit_f32(emb, rows, row_peaks(emb))
+        screen = (f32 @ f32.T).tolist()
+        unit = [[Fraction(x) for x in row] for row in unit_rows(emb.copy()).tolist()]
+        e = Fraction(encoder_scan._screen_error(emb.shape[1], np.float32))
+        for i, j in itertools.combinations_with_replacement(rows.tolist(), 2):
+            exact = sum(a * b for a, b in zip(unit[i], unit[j]))
+            assert abs(Fraction(screen[i][j]) - exact) <= e
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 768, 1024, 1280, 4096, 2**20])
+    def test_f32_screen_bound_covers_its_derivation(self, k):
+        # the terms of the derivation above _screen_error, in exact
+        # arithmetic: the bound exceeds their sum, which is (k + 8) u to
+        # first order, by second-order terms only
+        u, u64 = Fraction(1, 2**24), Fraction(1, 2**53)
+
+        def gamma(n, u):
+            return n * u / (1 - n * u)
+
+        e = (1 + gamma(3, u)) * (1 + gamma(k + 1, u64)) - 1
+        terms = gamma(k, u) * (1 + e)**2 + 2 * e + e * e + 2 * u
+        first = (k + 8) * u
+        assert terms < Fraction(encoder_scan._screen_error(k, np.float32)) < first * (1 + 2 * first)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([1.0, -0.5, 3.0, 0.0, 2.0**-600]), min_size=1, max_size=6),

@@ -1,6 +1,7 @@
 """The lane-parallel ``Xoshiro256.normals`` against the scalar stream."""
 
 import cmath
+import decimal
 import math
 import tracemalloc
 
@@ -157,3 +158,26 @@ def test_rect_equals_the_two_products():
     pairs = np.fromiter(map(cmath.rect, r, theta), np.complex128, len(r))
     products = [(a * math.cos(t), a * math.sin(t)) for a, t in zip(r, theta)]
     assert pairs.view(np.float64).tobytes() == np.array(products).tobytes()
+
+
+# x and glibc's math.log(x) where glibc 2.36 (x86-64) differs from the
+# correctly rounded log, by one ulp: 0.609318456248674, and the first three
+# u1 draws of seed 1's Box-Muller pairs where the two differ
+LIBM_LOGS = [
+    (0.609318456248674, -0.495414231281026),
+    (0.9221421721647468, -0.08105586756825715),
+    (0.32810396512923556, -1.1144247539639498),
+    (0.8788628756649532, -0.12912639384745325),
+]
+
+
+@pytest.mark.parametrize("x, pinned", LIBM_LOGS)
+def test_libm_log_as_pinned(x, pinned):
+    # the pinned bundle bytes take every log from libm, not from a correctly
+    # rounded log; these cases tell a different libm from a broken generator
+    with decimal.localcontext(prec=50):
+        assert pinned != float(decimal.Decimal(x).ln())  # not the correct rounding
+    got = math.log(x)
+    assert got == pinned, (
+        f"math.log({x!r}) is {got!r}, glibc 2.36 on x86-64 gives {pinned!r}: this "
+        "host's libm differs, so the pinned bundle digests will not match")

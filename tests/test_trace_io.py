@@ -18,6 +18,7 @@ from scipy.stats import spearmanr
 from conftest import near_mass
 from vtreduce import trace_io
 from vtreduce import (
+    ConfigError,
     DecoderTrace,
     DegenerateInputError,
     EncoderTrace,
@@ -487,6 +488,10 @@ class TestDecoderGenerator:
         assert 12 // 3 <= int(curve.head_mean.argmax()) < (2 * 12) // 3
 
 
+_ENCODER_DIMS = dict(grid_h=2, grid_w=2, n_layers=1, n_heads=1, embed_dim=2)
+_DECODER_DIMS = dict(n_layers=1, n_heads=1, n_pre_text=1, n_visual=4, n_post_text=1)
+
+
 class TestTraceValidation:
     def test_encoder_needs_some_attention(self):
         with pytest.raises(TraceError):
@@ -523,15 +528,22 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match=f"^{message}$"):
             build()
 
-    @pytest.mark.parametrize("generate, args, dim", [
-        *((generate_synthetic_encoder, (1, 2, 2, 1, 1, 2), i) for i in range(1, 6)),
-        *((generate_synthetic_decoder, (1, 1, 1, 1, 4, 1), i) for i in range(1, 6)),
+    @pytest.mark.parametrize("generate, dims, field", [
+        *((generate_synthetic_encoder, _ENCODER_DIMS, f) for f in _ENCODER_DIMS),
+        *((generate_synthetic_decoder, _DECODER_DIMS, f) for f in _DECODER_DIMS
+          if f != "n_pre_text"),
     ])
-    def test_generator_zero_dim_rejected(self, generate, args, dim):
-        args = list(args)
-        args[dim] = 0
-        with pytest.raises(TraceError, match="^all generator dims must be >= 1$"):
-            generate(*args)
+    def test_generator_zero_dim_rejected(self, generate, dims, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be >= 1, got 0$"):
+            generate(1, **{**dims, field: 0})
+
+    def test_generator_pre_text_may_be_empty(self):
+        trace = generate_synthetic_decoder(1, 4, 2, 0, 6, 3, position_bias_strength=2.0,
+                                           visual_boost_strength=1.0)
+        assert trace.visual_span == (0, 6)
+        assert np.allclose(trace.last_instr_attention.sum(axis=-1), 1.0)
+        with pytest.raises(ConfigError, match="^n_pre_text: must be >= 0, got -1$"):
+            generate_synthetic_decoder(1, 4, 2, -1, 6, 3)
 
     def test_decoder_layout_total(self):
         attn = np.full((2, 1, 6), 1 / 6)
