@@ -433,10 +433,11 @@ def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
 
     The groups are ordered by descending size (stable, so ties keep anchor
     order), and member level j (the j-th member of every group that has
-    one) is added to the prefix of the groups that reach it, as one
-    contiguous ``+=`` of gathered rows. So each group is summed in member
-    order from +0.0 while the Python loop runs once per level, not per
-    token or group. The order is undone once, at the end.
+    one) is added to the prefix of the groups that reach it, by contiguous
+    ``+=`` of rows gathered 128 at a time. So each group is summed in
+    member order from +0.0 while the Python loop runs once per level and
+    chunk, not per token or group. The order is undone once, at the end,
+    in place: besides the returned rows, the sums hold one chunk at most.
     """
     sizes = np.bincount(nearest, minlength=sel.size) + 1
     order = np.argsort(-sizes, kind="stable")  # largest groups first
@@ -450,10 +451,31 @@ def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
     with np.errstate(over="ignore"):  # merge_tokens reports an overflowed group
         sums[:merged] += 0.0  # summed from +0.0, which turns -0.0 into +0.0
         for j in range(1, sizes[0]):
-            n = np.count_nonzero(sizes > j)
-            sums[:n] += emb[members[firsts[:n] + j - 1]]
+            level = members[firsts[:np.count_nonzero(sizes > j)] + j - 1]
+            for i in range(0, level.size, 128):
+                rows = level[i:i + 128]
+                sums[i:i + rows.size] += emb[rows]
         sums[:merged] /= sizes[:merged, None]
-    return sums[rank]
+    return _take_in_place(sums, rank)
+
+
+def _take_in_place(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index]`` for a permutation ``index``, made in ``rows`` itself
+    one cycle at a time, so no second array of them all is made."""
+    index = index.tolist()
+    done = bytearray(len(index))
+    for start, src in enumerate(index):
+        if done[start] or src == start:
+            continue
+        first = rows[start].copy()
+        i = start
+        while (src := index[i]) != start:
+            rows[i] = rows[src]
+            done[i] = 1
+            i = src
+        rows[i] = first
+        done[i] = 1
+    return rows
 
 
 def selection_report(selection: TokenSelection) -> dict:

@@ -116,9 +116,13 @@ def run_pipeline(cfg: dict):
 
     with _stage("encoder-scan"):
         selection = encoder_scan.select_tokens(encoder, scan_cfg)
+        # the attention stacks are scored: only the embeddings go on
+        embeddings = encoder.embeddings
+        del encoder
 
     with _stage("merge"):
-        selection = encoder_scan.merge_tokens(encoder.embeddings, selection)
+        selection = encoder_scan.merge_tokens(embeddings, selection)
+        del embeddings
         n_merged = len(selection.selected)
         if decoder.n_visual != n_merged:
             raise ConfigError(
@@ -129,12 +133,13 @@ def run_pipeline(cfg: dict):
 
     with _stage("decoder-scores"):
         scores = decoder_prune.text_attention_scores(decoder, 1)
+        n_text = cfg.get("n_text_total", decoder.n_pre_text + decoder.n_post_text)
+        del decoder  # scored: no later stage reads the trace
 
     with _stage("prune"):
         profile = decoder_prune.prune_at_layer(scores, prune_cfg, n_merged)
 
     with _stage("report"):
-        n_text = cfg.get("n_text_total", decoder.n_pre_text + decoder.n_post_text)
         report = cost_model.build_report(selection, profile, dims, n_text)
 
     with _stage("write"), os_error_as("out_dir"), trace_io.publish(out_dir) as staging:

@@ -581,10 +581,11 @@ def _check_dims(least: int, **dims: int) -> None:
             raise ConfigError(field, f"must be >= {least}, got {value}")
 
 
-def _check_finite(field: str, value: float) -> None:
-    """A generator strength must be finite; ``field`` is its ``gen`` flag."""
-    if not math.isfinite(value):
-        raise ConfigError(field, f"must be finite, got {value}")
+def _check_finite(**strengths: float) -> None:
+    """Each generator strength must be finite; the error names it."""
+    for field, value in strengths.items():
+        if not math.isfinite(value):
+            raise ConfigError(field, f"must be finite, got {value}")
 
 
 def generate_synthetic_encoder(
@@ -608,7 +609,7 @@ def generate_synthetic_encoder(
     """
     _check_dims(1, grid_h=grid_h, grid_w=grid_w, n_layers=n_layers, n_heads=n_heads,
                 embed_dim=embed_dim)
-    _check_finite("locality", locality_strength)
+    _check_finite(locality_strength=locality_strength)
     n = grid_h * grid_w
     if include_self_attention:
         dist = _chebyshev_distances(grid_h, grid_w)
@@ -616,7 +617,7 @@ def generate_synthetic_encoder(
                    if n_layers > 1 else 0.0 for i in range(n_layers)]
         reach = float(dist.max())  # a Python float overflows without a warning
         if not all(math.isfinite(w * reach) for w in weights):
-            raise ConfigError("locality", f"too large: a layer's weight times the "
+            raise ConfigError("locality_strength", f"too large: a layer's weight times the "
                               f"grid distance overflows, got {locality_strength}")
     rng = Xoshiro256(seed)
 
@@ -669,8 +670,8 @@ def generate_synthetic_decoder(
     _check_dims(1, n_layers=n_layers, n_heads=n_heads)
     _check_dims(0, n_pre_text=n_pre_text)  # the bias and the boost need no pre-text
     _check_dims(1, n_visual=n_visual, n_post_text=n_post_text)
-    _check_finite("bias", position_bias_strength)
-    _check_finite("visual_boost", visual_boost_strength)
+    _check_finite(position_bias_strength=position_bias_strength,
+                  visual_boost_strength=visual_boost_strength)
     seq_len = n_pre_text + n_visual + n_post_text
     rng = Xoshiro256(seed)
     # the logits, each layer biased and softmaxed in place

@@ -95,9 +95,9 @@ class TestGen:
         assert [p for p in (tmp_path / "b").iterdir() if p.is_dir()] == []
 
     @pytest.mark.parametrize("kind, flag, value, field", [
-        ("decoder", "--bias", "inf", "bias"),
-        ("decoder", "--visual-boost", "nan", "visual_boost"),
-        ("encoder", "--locality", "-inf", "locality"),
+        ("decoder", "--bias", "inf", "position_bias_strength"),
+        ("decoder", "--visual-boost", "nan", "visual_boost_strength"),
+        ("encoder", "--locality", "-inf", "locality_strength"),
     ])
     def test_non_finite_strength_named(self, capsys, tmp_path, kind, flag, value, field):
         # checked before any draw, so numpy never warns (a warning fails the test)
@@ -113,7 +113,7 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--kind", "encoder", "--seed", "1", "--grid",
                            grid, "--layers", "3", "--locality", "1e308", "--out", tmp_path / "b")
         assert code == 1
-        assert err == ("error[gen]: locality: too large: a layer's weight times the "
+        assert err == ("error[gen]: locality_strength: too large: a layer's weight times the "
                        "grid distance overflows, got 1e+308\n")
         assert not (tmp_path / "b").exists()
 

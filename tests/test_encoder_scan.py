@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -443,6 +444,31 @@ class TestMergeTokens:
         assert merged.merge_assignment == {3: 1, 4: 1}
         assert np.array_equal(merged.merged_embeddings[1],
                               (quarter[1] + quarter[3] + quarter[4]) / 3)
+
+    def test_group_sums_hold_one_chunk_beside_the_output(self, monkeypatch):
+        # 1024 anchors among 2048 rows: the first member level reaches about
+        # 640 groups, five times a chunk of 128 rows
+        emb = np.random.default_rng(3).standard_normal((2048, 64))
+        sel = select_stub(2048, selected=list(range(0, 2048, 2)))
+        real = encoder_scan._group_means
+        marks = []
+
+        def group_means(*args):
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return real(*args)
+        monkeypatch.setattr(encoder_scan, "_group_means", group_means)
+        tracemalloc.start()
+        try:
+            merged = merge_tokens(emb, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # from the group sums to the return: the output, which the sums
+        # become in place, one gathered chunk, and 128 KiB for the index
+        # arrays and the assignment dict (about 64 KiB measured)
+        chunk = 128 * emb.shape[1] * emb.itemsize
+        assert peak - marks[0] < merged.merged_embeddings.nbytes + chunk + 2**17
 
     def test_report_and_write(self, tmp_path):
         rng = np.random.default_rng(9)

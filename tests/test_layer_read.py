@@ -11,6 +11,7 @@ import math
 import re
 import struct
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from vtreduce import (
     FormatError,
     ShapeError,
     TraceError,
+    decoder_prune,
     encoder_scan,
     generate_synthetic_encoder,
     read_decoder_bundle,
@@ -284,6 +286,40 @@ def test_a_self_avg_load_holds_two_layers(tmp_path, monkeypatch):
     before, peak = marks
     assert peak - before < bound
 
+
+
+@pytest.mark.parametrize("source, stack", [("cls", "cls_attention"),
+                                           ("self_avg", "self_attention")])
+def test_each_trace_is_released_once_it_is_scored(tmp_path, monkeypatch, source, stack):
+    make_world(tmp_path)
+    refs, dead = {}, {}
+    real_decoder = trace_io.read_decoder_bundle
+    real_merge, real_prune = encoder_scan.merge_tokens, decoder_prune.prune_at_layer
+
+    def read_encoder(*args, **kwargs):
+        trace = READ_ENCODER(*args, **kwargs)
+        refs["encoder"] = weakref.ref(getattr(trace, stack))
+        return trace
+
+    def read_decoder(*args, **kwargs):
+        trace = real_decoder(*args, **kwargs)
+        refs["decoder"] = weakref.ref(trace.last_instr_attention)
+        return trace
+
+    def merge(*args, **kwargs):
+        dead["encoder"] = refs["encoder"]() is None
+        return real_merge(*args, **kwargs)
+
+    def prune(*args, **kwargs):
+        dead["decoder"] = refs["decoder"]() is None
+        return real_prune(*args, **kwargs)
+    monkeypatch.setattr(trace_io, "read_encoder_bundle", read_encoder)
+    monkeypatch.setattr(trace_io, "read_decoder_bundle", read_decoder)
+    monkeypatch.setattr(encoder_scan, "merge_tokens", merge)
+    monkeypatch.setattr(decoder_prune, "prune_at_layer", prune)
+    run_pipeline(world_cfg(tmp_path, score_source=source))
+    # the attention is gone before the merge, and the decoder's before the prune
+    assert dead == {"encoder": True, "decoder": True}
 
 @pytest.mark.parametrize("layer", [0, 5])
 def test_layers_outside_the_stack_are_refused(tmp_path, layer):
