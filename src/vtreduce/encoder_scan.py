@@ -431,51 +431,32 @@ def _group_means(emb, sel, unsel, nearest) -> np.ndarray:
     """Row r: mean of ``emb[sel[r]]`` and every ``emb[unsel[i]]`` with
     ``nearest[i] == r``, in the order ``merge_tokens`` documents.
 
-    The groups are ordered by descending size (stable, so ties keep anchor
-    order), and member level j (the j-th member of every group that has
-    one) is added to the prefix of the groups that reach it, by contiguous
-    ``+=`` of rows gathered 128 at a time. So each group is summed in
-    member order from +0.0 while the Python loop runs once per level and
-    chunk, not per token or group. The order is undone once, at the end,
-    in place: besides the returned rows, the sums hold one chunk at most.
+    The merged groups are taken 64 at a time in descending size (stable,
+    so ties keep anchor order). Within a chunk, member level j (the j-th
+    member of every group that has one) is added to the prefix of the
+    groups that reach it by one contiguous ``+=``; so each group is summed
+    in member order from +0.0 while the Python loop runs once per chunk and
+    level, not per token. Each finished chunk is written to its anchors'
+    rows: beside the returned rows, the sums and one level hold 128 rows
+    at most.
     """
     sizes = np.bincount(nearest, minlength=sel.size) + 1
-    order = np.argsort(-sizes, kind="stable")  # largest groups first
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    members = unsel[np.argsort(rank[nearest], kind="stable")]  # by group, ascending
-    sizes = sizes[order]
+    members = unsel[np.argsort(nearest, kind="stable")]  # by group, ascending
     firsts = np.cumsum(sizes - 1) - (sizes - 1)  # each group's first member
-    merged = np.count_nonzero(sizes > 1)
-    sums = emb[sel[order]]  # a group of one stays a copy, which keeps -0.0
+    merged = np.argsort(-sizes, kind="stable")[:np.count_nonzero(sizes > 1)]
+    out = emb[sel]  # a group of one stays a copy, which keeps -0.0
     with np.errstate(over="ignore"):  # merge_tokens reports an overflowed group
-        sums[:merged] += 0.0  # summed from +0.0, which turns -0.0 into +0.0
-        for j in range(1, sizes[0]):
-            level = members[firsts[:np.count_nonzero(sizes > j)] + j - 1]
-            for i in range(0, level.size, 128):
-                rows = level[i:i + 128]
-                sums[i:i + rows.size] += emb[rows]
-        sums[:merged] /= sizes[:merged, None]
-    return _take_in_place(sums, rank)
-
-
-def _take_in_place(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``rows[index]`` for a permutation ``index``, made in ``rows`` itself
-    one cycle at a time, so no second array of them all is made."""
-    index = index.tolist()
-    done = bytearray(len(index))
-    for start, src in enumerate(index):
-        if done[start] or src == start:
-            continue
-        first = rows[start].copy()
-        i = start
-        while (src := index[i]) != start:
-            rows[i] = rows[src]
-            done[i] = 1
-            i = src
-        rows[i] = first
-        done[i] = 1
-    return rows
+        for i in range(0, merged.size, 64):
+            groups = merged[i:i + 64]  # sizes descending: level j is a prefix
+            n = sizes[groups]
+            sums = out[groups]
+            sums += 0.0  # summed from +0.0, which turns -0.0 into +0.0
+            for j in range(1, n[0]):
+                k = np.count_nonzero(n > j)
+                sums[:k] += emb[members[firsts[groups[:k]] + j - 1]]
+            sums /= n[:, None]
+            out[groups] = sums
+    return out
 
 
 def selection_report(selection: TokenSelection) -> dict:

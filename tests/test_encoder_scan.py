@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -464,9 +465,10 @@ class TestMergeTokens:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # from the group sums to the return: the output, which the sums
-        # become in place, one gathered chunk, and 128 KiB for the index
-        # arrays and the assignment dict (about 64 KiB measured)
+        # from the group sums to the return: the output, which each chunk's
+        # sums are written to, a chunk of 64 sums and at most 64 gathered
+        # rows, and 128 KiB for the index arrays and the assignment dict
+        # (about 64 KiB measured)
         chunk = 128 * emb.shape[1] * emb.itemsize
         assert peak - marks[0] < merged.merged_embeddings.nbytes + chunk + 2**17
 
@@ -624,6 +626,7 @@ class TestMergeMatchesSeed:
     @example(_duplicate_anchor_case(40, 12, 13))
     @example(_duplicate_anchor_case(37, 9, 7))
     @example(_duplicate_anchor_case(100, 16, 33))
+    @example(_duplicate_anchor_case(500, 4, 250))  # 142 merged groups of 1 to 12 members
     @example(_NEAR_TIE)
     @example(_UNDERFLOW)
     @example(_F32_MISORDER)
@@ -717,6 +720,13 @@ class TestMergeMatchesSeed:
         terms = gamma(k, u) * (1 + e)**2 + 2 * e + e * e + 2 * u
         first = (k + 8) * u
         assert terms < Fraction(encoder_scan._screen_error(k, np.float32)) < first * (1 + 2 * first)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_screen_error_infinite_past_its_length_limit(self, dtype):
+        # from k + 4 == 2**23 on no finite bound is claimed: every anchor
+        # is a candidate
+        assert encoder_scan._screen_error(2**23 - 4, dtype) == math.inf
+        assert math.isfinite(encoder_scan._screen_error(2**23 - 5, dtype))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([1.0, -0.5, 3.0, 0.0, 2.0**-600]), min_size=1, max_size=6),

@@ -112,6 +112,10 @@ class TestCosine:
             1 / math.sqrt(2), abs=1e-12
         )
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError, match="^vector lengths differ: 2 vs 3$"):
+            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
+
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])

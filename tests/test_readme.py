@@ -1,7 +1,8 @@
 """README's CLI block, run line by line through ``vtreduce.cli.main``, must
 do what it documents: every command exits 0, a trailing ``# <number>``
 comment is the command's output, and the files listed after ``# ->`` are
-written."""
+written. Its ``run_pipeline`` block then runs on the traces that block
+made."""
 
 import re
 import shlex
@@ -19,6 +20,12 @@ def cli_block() -> str:
     return block.replace("\\\n", " ")
 
 
+def python_block() -> str:
+    """The README ``python`` block that calls ``run_pipeline``."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    return next(b for b in blocks if "run_pipeline(" in b)
+
+
 def test_cli_block_runs_as_documented(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("VTREDUCE_OUT_DIR", raising=False)
@@ -33,3 +40,9 @@ def test_cli_block_runs_as_documented(tmp_path, monkeypatch, capsys):
         if expected:
             assert out.strip() == expected, command
     assert [n for n in names if not (tmp_path / "run" / n).is_file()] == []
+    summary = tmp_path / "run" / "cost_summary.json"
+    summary.unlink()
+    scope = {}
+    exec(python_block(), scope)
+    assert scope["out_dir"].resolve() == summary.parent.resolve()
+    assert summary.is_file()

@@ -181,3 +181,42 @@ def test_libm_log_as_pinned(x, pinned):
     assert got == pinned, (
         f"math.log({x!r}) is {got!r}, glibc 2.36 on x86-64 gives {pinned!r}: this "
         "host's libm differs, so the pinned bundle digests will not match")
+
+
+# (r, theta) of seed 1's Box-Muller pairs 704, 951, 1135 and 2071, and
+# glibc's cmath.rect(r, theta): at 704 and 2071 glibc 2.36 (x86-64) rounds
+# cos(theta) one ulp away from the correctly rounded cos, at 951 and 1135
+# sin(theta), and the product with r keeps the difference
+LIBM_RECTS = [
+    (1.5124721664701226, 1.8156562132034706, -0.36665409697203194 + 1.467357089300505j),
+    (1.5799472942345107, 4.011327448591173, -1.0191121841377158 - 1.2073292047743258j),
+    (0.8687547672323308, 3.968230888715968, -0.5884533816827515 - 0.6391067697771908j),
+    (0.8650828481706345, 0.811074940325104, 0.5957994000532114 + 0.6272092227440939j),
+]
+
+
+def decimal_cos_sin(x: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """cos x and sin x by their Taylor series, in the current context; for
+    |x| < 2 pi the terms past the 100th are below 1e-77."""
+    x = decimal.Decimal(x)
+    sums, term = [decimal.Decimal(0)] * 4, decimal.Decimal(1)
+    for n in range(1, 101):  # term x^(n-1) / (n-1)!: +cos, +sin, -cos, -sin
+        sums[(n - 1) % 4] += term
+        term = term * x / n
+    return sums[0] - sums[2], sums[1] - sums[3]
+
+
+@pytest.mark.parametrize("r, theta, pinned", LIBM_RECTS)
+def test_libm_rect_as_pinned(r, theta, pinned):
+    # as test_libm_log_as_pinned, for the cos and sin that cmath.rect takes
+    # from libm
+    with decimal.localcontext(prec=50):
+        cos, sin = (float(v) for v in decimal_cos_sin(theta))  # correctly rounded
+        correct = complex(float(decimal.Decimal(r) * decimal.Decimal(cos)),
+                          float(decimal.Decimal(r) * decimal.Decimal(sin)))
+    assert pinned != correct
+    got = cmath.rect(r, theta)
+    assert got == pinned, (
+        f"cmath.rect({r!r}, {theta!r}) is {got!r}, glibc 2.36 on x86-64 gives "
+        f"{pinned!r}: this host's libm differs, so the pinned bundle digests will "
+        "not match")

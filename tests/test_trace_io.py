@@ -103,6 +103,14 @@ class TestTensorFile:
             read_tensor(path)
         assert exc.value.offset == 0
 
+    def test_truncated_dims(self, tmp_path):
+        path = tmp_path / "t.vscn"
+        write_tensor(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes()[:12])  # the header, half a dim
+        with pytest.raises(FormatError, match=r"^truncated dims \(byte offset 12\)$") as exc:
+            read_tensor(path)
+        assert exc.value.offset == 12
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.vscn"
         write_tensor(path, np.ones(5))
@@ -286,6 +294,14 @@ class TestBundles:
         manifest["version"] = version
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="'version' must be an integer"):
+            read(tmp_path / "b")
+
+    def test_manifest_version_must_be_supported(self, tmp_path):
+        path, read = tiny_bundle(tmp_path / "b", "decoder")
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 2
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="^unsupported manifest version 2$"):
             read(tmp_path / "b")
 
     def test_manifest_not_an_object(self, tmp_path):
